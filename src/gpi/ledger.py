@@ -27,11 +27,12 @@ structurally between a ledger and the values appended from it).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .keys import KeyPair, PublicIdentifier, Signature, get_scheme
+from .keys import KeyPair, PublicIdentifier, Signature, UnknownScheme, get_scheme
 
 
 class LedgerError(Exception):
@@ -117,33 +118,52 @@ EventBody = Union[
     Declare, Update, Reset, Pledge, ResetEndorsement, CommunityAdd, CommunityRemove
 ]
 
-_TYPE_NAMES: dict[type, str] = {
-    Declare: "declare",
-    Update: "update",
-    Reset: "reset",
-    Pledge: "pledge",
-    ResetEndorsement: "reset_endorsement",
-    CommunityAdd: "community_add",
-    CommunityRemove: "community_remove",
-}
-_TYPE_TAGS: dict[type, int] = {cls: i + 1 for i, cls in enumerate(_TYPE_NAMES)}
+
+# ---------------------------------------------------------------------------
+# Per-type schema
+# ---------------------------------------------------------------------------
+# One row per body type: its wire name, its tag byte in the canonical
+# encoding and the field naming its required signer (None for admin-signed
+# community events).  The fields themselves come from the dataclass in
+# declaration order; the JSON key is the attribute name without its "_v"
+# suffix, and the annotation says whether the field is an int or an
+# identifier.
+
+class _Kind:
+    def __init__(self, cls: type, name: str, tag: int, signer: str | None):
+        self.cls, self.name, self.tag, self.signer = cls, name, tag, signer
+        # (attribute, JSON key, is int) per field, in declaration order
+        self.fields: tuple[tuple[str, str, bool], ...] = tuple(
+            (f.name, f.name.removesuffix("_v"), f.type == "int")
+            for f in dataclasses.fields(cls)
+        )
+        self.identifiers = tuple(attr for attr, _, is_int in self.fields if not is_int)
+
+
+_SCHEMA = (
+    _Kind(Declare, "declare", 1, "v"),
+    _Kind(Update, "update", 2, "new_v"),
+    _Kind(Reset, "reset", 3, "old_v"),
+    _Kind(Pledge, "pledge", 4, "from_v"),
+    _Kind(ResetEndorsement, "reset_endorsement", 5, "endorser_v"),
+    _Kind(CommunityAdd, "community_add", 6, None),
+    _Kind(CommunityRemove, "community_remove", 7, None),
+)
+_BY_TYPE = {kind.cls: kind for kind in _SCHEMA}
+_BY_NAME = {kind.name: kind for kind in _SCHEMA}
+
+
+def _kind_of(body: EventBody) -> _Kind:
+    try:
+        return _BY_TYPE[type(body)]
+    except KeyError:
+        raise EncodingError(f"unknown body type {type(body).__name__}") from None
 
 
 def required_signer(body: EventBody) -> PublicIdentifier | None:
     """The identifier that must sign ``body``; None for admin-signed events."""
-    if isinstance(body, Declare):
-        return body.v
-    if isinstance(body, Update):
-        return body.new_v
-    if isinstance(body, Reset):
-        return body.old_v
-    if isinstance(body, Pledge):
-        return body.from_v
-    if isinstance(body, ResetEndorsement):
-        return body.endorser_v
-    if isinstance(body, (CommunityAdd, CommunityRemove)):
-        return None
-    raise EncodingError(f"unknown body type {type(body).__name__}")
+    signer = _kind_of(body).signer
+    return None if signer is None else getattr(body, signer)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +171,7 @@ def required_signer(body: EventBody) -> PublicIdentifier | None:
 # ---------------------------------------------------------------------------
 # Signatures need one bit-exact serialization: a single type tag byte
 # followed by the body fields in declaration order, every byte string
-# length-prefixed (u16 big-endian).
+# length-prefixed (u16 big-endian) and every int a single byte.
 
 def _enc_bytes(b: bytes) -> bytes:
     if len(b) > 0xFFFF:
@@ -164,21 +184,12 @@ def _enc_ident(v: PublicIdentifier) -> bytes:
 
 
 def encode_body(body: EventBody) -> bytes:
-    tag = _TYPE_TAGS.get(type(body))
-    if tag is None:
-        raise EncodingError(f"unknown body type {type(body).__name__}")
-    out = bytes([tag])
-    if isinstance(body, Declare):
-        return out + _enc_ident(body.v)
-    if isinstance(body, Update):
-        return out + _enc_ident(body.new_v) + _enc_ident(body.old_v)
-    if isinstance(body, Reset):
-        return out + _enc_ident(body.old_v)
-    if isinstance(body, Pledge):
-        return out + bytes([body.surety_type]) + _enc_ident(body.from_v) + _enc_ident(body.to_v)
-    if isinstance(body, ResetEndorsement):
-        return out + _enc_ident(body.target_v) + _enc_ident(body.endorser_v)
-    return out + _enc_ident(body.v)  # CommunityAdd / CommunityRemove
+    kind = _kind_of(body)
+    out = [bytes([kind.tag])]
+    for attr, _, is_int in kind.fields:
+        value = getattr(body, attr)
+        out.append(bytes([value]) if is_int else _enc_ident(value))
+    return b"".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +213,6 @@ def verify_event(event: SignedEvent) -> bool:
     return scheme.verify(
         event.signer.key_bytes, encode_body(event.body), event.signature.sig_bytes
     )
-
-
-def _mentioned_identifiers(body: EventBody) -> tuple[PublicIdentifier, ...]:
-    if isinstance(body, Declare):
-        return (body.v,)
-    if isinstance(body, Update):
-        return (body.new_v, body.old_v)
-    if isinstance(body, Reset):
-        return (body.old_v,)
-    if isinstance(body, Pledge):
-        return (body.from_v, body.to_v)
-    if isinstance(body, ResetEndorsement):
-        return (body.target_v, body.endorser_v)
-    return (body.v,)  # CommunityAdd / CommunityRemove
 
 
 class Ledger:
@@ -277,8 +274,8 @@ class Ledger:
         if self._mention_index is None:
             index: dict[PublicIdentifier, list[int]] = {}
             for ev in self:
-                for ident in _mentioned_identifiers(ev.body):
-                    index.setdefault(ident, []).append(ev.seq)
+                for attr in _kind_of(ev.body).identifiers:
+                    index.setdefault(getattr(ev.body, attr), []).append(ev.seq)
             self._mention_index = {k: tuple(seqs) for k, seqs in index.items()}
         return self._mention_index.get(v, ())
 
@@ -345,42 +342,35 @@ def append_event(ledger: Ledger, body: EventBody, signer_key_pair: KeyPair) -> L
 # Text serialization (one JSON object per line)
 # ---------------------------------------------------------------------------
 
-def _ident_obj(v: PublicIdentifier) -> dict:
-    return {"scheme": v.scheme_id, "key": v.key_bytes.hex()}
+_quote = json.encoder.encode_basestring_ascii  # str -> JSON string literal, as json.dumps
 
 
-def _payload(body: EventBody) -> dict:
-    if isinstance(body, Declare):
-        return {"v": _ident_obj(body.v)}
-    if isinstance(body, Update):
-        return {"new": _ident_obj(body.new_v), "old": _ident_obj(body.old_v)}
-    if isinstance(body, Reset):
-        return {"old": _ident_obj(body.old_v)}
-    if isinstance(body, Pledge):
-        return {
-            "surety_type": body.surety_type,
-            "from": _ident_obj(body.from_v),
-            "to": _ident_obj(body.to_v),
-        }
-    if isinstance(body, ResetEndorsement):
-        return {"target": _ident_obj(body.target_v), "endorser": _ident_obj(body.endorser_v)}
-    return {"v": _ident_obj(body.v)}
+def _json_field(value: object, is_int: bool) -> str:
+    if is_int:
+        return f"{value:d}"
+    return f'{{"scheme":{_quote(value.scheme_id)},"key":"{value.key_bytes.hex()}"}}'
+
+
+def _line(ev: SignedEvent) -> str:
+    """The one canonical text line of ``ev``, without its newline.
+
+    It is the compact ``json.dumps`` of the record, keys in this order.
+    """
+    kind = _kind_of(ev.body)
+    payload = ",".join(
+        f'"{key}":{_json_field(getattr(ev.body, attr), is_int)}'
+        for attr, key, is_int in kind.fields
+    )
+    return (
+        f'{{"seq":{ev.seq:d},"type":"{kind.name}","payload":{{{payload}}},'
+        f'"signer":"{ev.signer.key_bytes.hex()}","sig":"{ev.signature.sig_bytes.hex()}",'
+        f'"scheme":{_quote(ev.signer.scheme_id)}}}'
+    )
 
 
 def serialize_log(ledger: Ledger) -> bytes:
-    """Serialize to UTF-8 text, one compact JSON object per line."""
-    lines = []
-    for ev in ledger:
-        record = {
-            "seq": ev.seq,
-            "type": _TYPE_NAMES[type(ev.body)],
-            "payload": _payload(ev.body),
-            "signer": ev.signer.key_bytes.hex(),
-            "sig": ev.signature.sig_bytes.hex(),
-            "scheme": ev.signer.scheme_id,
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    """Serialize to UTF-8 text, one compact JSON object per LF-terminated line."""
+    return "".join(_line(ev) + "\n" for ev in ledger).encode("utf-8")
 
 
 def _parse_ident(obj: object, line: int, field: str) -> PublicIdentifier:
@@ -393,61 +383,45 @@ def _parse_ident(obj: object, line: int, field: str) -> PublicIdentifier:
 
 
 def _parse_body(rec: dict, line: int) -> EventBody:
-    kind = rec.get("type")
-    payload = rec.get("payload")
+    kind = _BY_NAME.get(rec["type"]) if isinstance(rec["type"], str) else None
+    if kind is None:
+        raise ParseError(line, f"unknown event type {rec['type']!r}")
+    payload = rec["payload"]
     if not isinstance(payload, dict):
         raise ParseError(line, "missing payload object")
+    values = []
+    for _, key, is_int in kind.fields:
+        value = payload.get(key)
+        if is_int and type(value) is not int:  # bool is an int subclass: reject it
+            raise ParseError(line, f"payload field {key!r} is not an integer")
+        values.append(value if is_int else _parse_ident(value, line, key))
     try:
-        if kind == "declare":
-            return Declare(_parse_ident(payload.get("v"), line, "v"))
-        if kind == "update":
-            new_v = _parse_ident(payload.get("new"), line, "new")
-            # Initial declarations may be written as an update from null;
-            # normalize that form to a plain declaration.
-            if payload.get("old") is None:
-                return Declare(new_v)
-            return Update(new_v, _parse_ident(payload.get("old"), line, "old"))
-        if kind == "reset":
-            return Reset(_parse_ident(payload.get("old"), line, "old"))
-        if kind == "pledge":
-            st = payload.get("surety_type")
-            if not isinstance(st, int):
-                raise ParseError(line, "pledge payload missing integer surety_type")
-            return Pledge(
-                st,
-                _parse_ident(payload.get("from"), line, "from"),
-                _parse_ident(payload.get("to"), line, "to"),
-            )
-        if kind == "reset_endorsement":
-            return ResetEndorsement(
-                _parse_ident(payload.get("target"), line, "target"),
-                _parse_ident(payload.get("endorser"), line, "endorser"),
-            )
-        if kind == "community_add":
-            return CommunityAdd(_parse_ident(payload.get("v"), line, "v"))
-        if kind == "community_remove":
-            return CommunityRemove(_parse_ident(payload.get("v"), line, "v"))
+        return kind.cls(*values)
     except EncodingError as exc:
         raise ParseError(line, str(exc)) from None
-    raise ParseError(line, f"unknown event type {kind!r}")
 
 
 def parse_log(data: bytes, admins: Iterable[PublicIdentifier] = ()) -> Ledger:
-    """Parse and re-verify a serialized log.
+    """Parse and re-verify a serialized log; only the canonical form parses.
 
-    Every event's signature is re-verified (VerifyError names the failing
-    seq) and the signer rule is re-checked for every body that names its
-    signer.  Community add/remove events are checked cryptographically
-    only: admin membership is append-time policy and is not recorded in
-    the file.  Seq values must be dense from 0; gaps are rejected.
+    Every line must be exactly what ``serialize_log`` writes for the event
+    it denotes, so a log that parses re-serializes to the same bytes.
+    Signatures are re-verified (VerifyError names the failing seq, also for
+    an unregistered scheme) and so is the signer rule of every body that
+    names its signer; community add/remove events are checked
+    cryptographically only, as admin membership is append-time policy that
+    the file does not record.  Seq values must be dense from 0.
     """
+    if data and not data.endswith(b"\n"):
+        raise ParseError(data.count(b"\n") + 1, "missing final newline")
     events: list[SignedEvent] = []
-    for i, raw in enumerate(data.decode("utf-8").splitlines()):
+    for i, raw in enumerate(data.split(b"\n")[:-1]):
         line = i + 1
-        if not raw.strip():
-            raise ParseError(line, "blank line")
         try:
-            rec = json.loads(raw)
+            text = raw.decode("utf-8")
+            rec = json.loads(text)
+        except UnicodeDecodeError:
+            raise ParseError(line, "not UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ParseError(line, f"bad JSON: {exc.msg}") from None
         if not isinstance(rec, dict):
@@ -464,7 +438,13 @@ def parse_log(data: bytes, admins: Iterable[PublicIdentifier] = ()) -> Ledger:
         except ValueError as exc:
             raise ParseError(line, f"bad signer or signature hex: {exc}") from None
         event = SignedEvent(i, body, signer, sig)
-        if not verify_event(event):
+        if _line(event) != text:
+            raise ParseError(line, "record is not in canonical form")
+        try:
+            verified = verify_event(event)
+        except UnknownScheme:
+            raise VerifyError(i, f"unknown signature scheme {signer.scheme_id!r}") from None
+        if not verified:
             raise VerifyError(i)
         required = required_signer(body)
         if required is not None and signer != required:

@@ -19,8 +19,11 @@ the quantities the community checkers and simulations are built on:
 * exact maximum independent sets (branch and bound) with a greedy
   fallback for large graphs;
 
-* a uniform-model random d-regular graph generator (pairing model with
-  rejection) that reports the measured lambda of each sample.
+* a random d-regular graph generator that reports the measured lambda of
+  each sample.  It pairs stubs and re-pairs the conflicting ones
+  (Steger-Wormald style), restarting when no simple edge remains; the
+  result is asymptotically uniform only for small d, not the uniform
+  model.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import GRAPH_GEN, stream
+from .rng import GRAPH_GEN, LANCZOS_START, stream
 
 
 class OverlappingSets(ValueError):
@@ -287,19 +290,24 @@ def conductance_exact(
 _DENSE_EIG_LIMIT = 2000
 
 
+def _check_spectrum_input(graph: Graph) -> None:
+    zeros = np.nonzero(graph.degrees == 0)[0]
+    if zeros.size:
+        raise ZeroDegreeVertex(int(zeros[0]))
+    if graph.n < 2:
+        raise ValueError("the random-walk spectrum needs at least two vertices")
+
+
 def _rw_spectrum_extremes(graph: Graph) -> tuple[float, float]:
     """(smallest eigenvalue, second-largest eigenvalue) of D^-1 A.
 
-    Computed from the degree-symmetrized similar matrix D^-1/2 A D^-1/2,
-    dense for moderate sizes and via sparse Lanczos beyond that.
+    Only called on connected graphs, where 1 is a simple eigenvalue and so
+    is -1 when the graph is bipartite; repeated extremes are what stall
+    Lanczos.  Computed from the degree-symmetrized similar matrix
+    D^-1/2 A D^-1/2, dense for moderate sizes and via sparse Lanczos from a
+    fixed seeded start vector beyond that.
     """
-    deg = graph.degrees
-    zeros = np.nonzero(deg == 0)[0]
-    if zeros.size:
-        raise ZeroDegreeVertex(int(zeros[0]))
-    if graph.n == 1:
-        return 1.0, 1.0
-    scale = 1.0 / np.sqrt(deg.astype(float))
+    scale = 1.0 / np.sqrt(graph.degrees.astype(float))
     if graph.n <= _DENSE_EIG_LIMIT:
         sym = graph.adjacency_matrix() * scale[:, None] * scale[None, :]
         w = np.linalg.eigvalsh(sym)
@@ -311,17 +319,24 @@ def _rw_spectrum_extremes(graph: Graph) -> tuple[float, float]:
     cols = [w for u in range(graph.n) for w in graph.adj[u]]
     data = scale[rows] * scale[cols]
     sym = sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
-    top = spl.eigsh(sym, k=2, which="LA", return_eigenvectors=False)
-    bottom = spl.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
+    v0 = stream(0, LANCZOS_START).uniform(-1.0, 1.0, graph.n)
+    top = spl.eigsh(sym, k=2, which="LA", v0=v0, return_eigenvectors=False)
+    bottom = spl.eigsh(sym, k=1, which="SA", v0=v0, return_eigenvectors=False)
     return float(bottom[0]), float(np.sort(top)[0])
 
 
 def second_eigenvalue(graph: Graph) -> float:
     """lambda(G): the largest modulus among non-principal random-walk eigenvalues.
 
-    Always in [0, 1]; equals 1 exactly when the graph is disconnected or
-    bipartite.
+    Always in [0, 1].  It is exactly 1 when the graph is disconnected (the
+    eigenvalue 1 repeats once per component) or bipartite (-1 is an
+    eigenvalue); both are read off the graph's structure, without an
+    eigensolver.  Raises ZeroDegreeVertex for an isolated vertex and
+    ValueError for fewer than two vertices.
     """
+    _check_spectrum_input(graph)
+    if not graph.is_connected() or graph.is_bipartite():
+        return 1.0
     low, second = _rw_spectrum_extremes(graph)
     lam = max(abs(low), abs(second))
     if lam > 1.0:
@@ -332,7 +347,13 @@ def second_eigenvalue(graph: Graph) -> float:
 
 
 def second_eigenvalue_signed(graph: Graph) -> float:
-    """The signed second-largest random-walk eigenvalue (feeds Cheeger)."""
+    """The signed second-largest random-walk eigenvalue (feeds Cheeger).
+
+    Exactly 1 when the graph is disconnected, read off its components.
+    """
+    _check_spectrum_input(graph)
+    if not graph.is_connected():
+        return 1.0
     _, second = _rw_spectrum_extremes(graph)
     return min(second, 1.0)
 

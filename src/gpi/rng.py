@@ -22,6 +22,7 @@ CAPPED_ADMISSION = 4
 EXPANDER_SIM = 5
 LEMMA_INSTANCES = 6
 PLACEMENT = 7
+LANCZOS_START = 8
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:

@@ -241,7 +241,6 @@ class SimResult:
     sybil_series: np.ndarray
     component_count_series: np.ndarray
     max_component_series: np.ndarray
-    component_sizes: list[tuple[int, ...]]
     expulsion_sizes: list[int]
     time_avg_sigma: MeanWithError
     time_avg_sybils: MeanWithError
@@ -353,7 +352,6 @@ def run_agent_sim(
     sybil_series = np.empty(steps, dtype=np.int64)
     comp_count = np.empty(steps, dtype=np.int64)
     max_comp = np.empty(steps, dtype=np.int64)
-    component_sizes: list[tuple[int, ...]] = []
     expulsion_sizes: list[int] = []
 
     def remove_member(ident: int) -> None:
@@ -460,7 +458,6 @@ def run_agent_sim(
             sybil_series[row] = sybil_count
             comp_count[row] = len(components)
             max_comp[row] = max((len(c) for c in components), default=0)
-            component_sizes.append(tuple(len(c) for c in components))
             row += 1
 
     tail = slice(config.burn_in, None)
@@ -474,7 +471,6 @@ def run_agent_sim(
         sybil_series=sybil_series,
         component_count_series=comp_count,
         max_component_series=max_comp,
-        component_sizes=component_sizes,
         expulsion_sizes=expulsion_sizes,
         time_avg_sigma=_mean_with_error(sigma[tail]),
         time_avg_sybils=_mean_with_error(sybil_series[tail].astype(float)),

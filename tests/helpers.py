@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from gpi.ledger import (
     SignedEvent,
     Update,
     append_event,
+    serialize_log,
 )
 from gpi.oracle import AgentRegistry
 from gpi.registry import DEFAULT_RESET_QUORUM
@@ -141,6 +143,55 @@ def timing_scenarios() -> dict[str, Scenario]:
         "timing_late_declaration": late_declaration(),
         "timing_honest_pair": honest_pair(),
     }
+
+
+def noncanonical_probes() -> list[tuple[str, bytes, str, int]]:
+    """Spellings of a canonical three-event log that ``parse_log`` must refuse.
+
+    Each entry is ``(name, data, error, where)``: the exception name and the
+    line (``ParseError``) or seq (``VerifyError``) it must report.  Most
+    probes change the spelling of one record without changing the event it
+    denotes, which a lenient parser would accept and re-serialize
+    differently.
+    """
+    sc = Scenario()
+    sc.declare("a", "ha")
+    sc.declare("b", "hb")
+    sc.pledge(1, "a", "b", "ha")
+    canonical = serialize_log(sc.ledger)
+    lines = canonical.split(b"\n")[:-1]
+
+    def log(index: int, line: bytes) -> bytes:
+        return b"".join((line if i == index else old) + b"\n" for i, old in enumerate(lines))
+
+    rec = json.loads(lines[1])
+    sig = rec["sig"].encode()
+    null_update = json.loads(lines[0])
+    null_update["type"] = "update"
+    null_update["payload"] = {"new": null_update["payload"]["v"], "old": None}
+    probes = [
+        ("crlf", log(1, lines[1] + b"\r"), "ParseError", 2),
+        ("form feed", log(1, lines[1] + b"\x0c"), "ParseError", 2),
+        ("seq true", log(1, lines[1].replace(b'"seq":1', b'"seq":true')), "ParseError", 2),
+        ("surety_type true",
+         log(2, lines[2].replace(b'"surety_type":1', b'"surety_type":true')), "ParseError", 3),
+        ("uppercase hex", log(1, lines[1].replace(sig, sig.upper())), "ParseError", 2),
+        ("spaced JSON", log(1, json.dumps(rec).encode()), "ParseError", 2),
+        ("key order",
+         log(1, json.dumps(dict(reversed(rec.items())), separators=(",", ":")).encode()),
+         "ParseError", 2),
+        ("extra key", log(1, lines[1][:-1] + b',"note":0}'), "ParseError", 2),
+        ("escaped character",
+         log(1, lines[1].removesuffix(b'"mock"}') + b'"mo\\u0063k"}'), "ParseError", 2),
+        ("missing final newline", canonical[:-1], "ParseError", 3),
+        ("blank line", log(1, lines[1] + b"\n"), "ParseError", 3),
+        ("non-UTF-8", log(1, lines[1] + b"\xff"), "ParseError", 2),
+        ("update from null",
+         log(0, json.dumps(null_update, separators=(",", ":")).encode()), "ParseError", 1),
+        ("unknown scheme", log(1, lines[1].removesuffix(b'"mock"}') + b'"nope"}'), "VerifyError", 1),
+    ]
+    assert all(data != canonical for _, data, _, _ in probes)
+    return probes
 
 
 def random_scenario(seed: int, n_events: int | None = None, with_resets: bool = True) -> Scenario:

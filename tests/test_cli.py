@@ -9,7 +9,7 @@ import pytest
 from gpi.cli import main
 from gpi.ledger import write_log
 
-from helpers import Scenario, timing_scenarios
+from helpers import Scenario, noncanonical_probes, timing_scenarios
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +53,18 @@ class TestLedgerCommands:
         bad = tampered_copy(DATA / "timing_honest_pair.log", tmp_path / "bad.log")
         assert main(["ledger", "validate", str(bad)]) == 1
         assert json.loads(capsys.readouterr().out)["seq"] == 2
+
+    @pytest.mark.parametrize(
+        "data,error,where",
+        [pytest.param(data, error, where, id=name) for name, data, error, where in noncanonical_probes()],
+    )
+    def test_validate_noncanonical_log_exits_one_with_json(self, data, error, where, tmp_path, capsys):
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(data)
+        assert main(["ledger", "validate", str(bad)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False and out["error"] == error
+        assert out["line" if error == "ParseError" else "seq"] == where
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["ledger", "validate", "/nonexistent/x.log"]) == 2
@@ -106,6 +118,12 @@ class TestMetricsCommands:
         assert main(["metrics", "lambda", "--in", str(edgelist)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lambda"] == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_lambda_empty_edge_list_exits_two(self, tmp_path, capsys):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("")
+        assert main(["metrics", "lambda", "--in", str(empty)]) == 2
+        assert "at least two vertices" in capsys.readouterr().err
 
     def test_mis(self, edgelist, capsys):
         assert main(["metrics", "mis", "--in", str(edgelist)]) == 0

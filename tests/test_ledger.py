@@ -23,6 +23,8 @@ from gpi.ledger import (
     verify_event,
 )
 
+from helpers import noncanonical_probes
+
 
 def kp(tag: bytes, scheme: str = "mock"):
     return generate_keypair(scheme, tag)
@@ -189,17 +191,27 @@ class TestSerialization:
             parse_log(b"{not json}\n")
         assert err.value.line == 1
 
-    def test_update_from_null_normalizes_to_declare(self):
-        # an initial declaration may be written as an update with old=null,
-        # signed over the declare encoding
+    def test_update_from_null_is_rejected(self):
+        # a declaration spelled as an update with old=null would give one
+        # event two spellings; only the canonical declare record parses
         k1 = kp(b"a")
         declared = append_event(Ledger(), Declare(k1.public), k1)
         record = json.loads(serialize_log(declared).decode())
         record["type"] = "update"
         record["payload"] = {"new": record["payload"]["v"], "old": None}
-        parsed = parse_log((json.dumps(record, separators=(",", ":")) + "\n").encode())
-        assert isinstance(parsed[0].body, Declare)
-        assert parsed[0].body.v == k1.public
+        with pytest.raises(ParseError) as err:
+            parse_log((json.dumps(record, separators=(",", ":")) + "\n").encode())
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "data,error,where",
+        [pytest.param(data, error, where, id=name) for name, data, error, where in noncanonical_probes()],
+    )
+    def test_noncanonical_spellings_rejected(self, data, error, where):
+        with pytest.raises((ParseError, VerifyError)) as err:
+            parse_log(data)
+        assert type(err.value).__name__ == error
+        assert (err.value.line if error == "ParseError" else err.value.seq) == where
 
     def test_wrong_signer_rejected_at_parse(self):
         k1, k2 = kp(b"a"), kp(b"b")

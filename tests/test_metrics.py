@@ -199,6 +199,38 @@ class TestSpectrum:
         assert seen_one and seen_below
 
 
+    def test_fewer_than_two_vertices_rejected(self):
+        with pytest.raises(ValueError):
+            second_eigenvalue(Graph(0, []))
+        with pytest.raises(ZeroDegreeVertex):
+            second_eigenvalue_signed(Graph(1, [[]]))
+
+    def test_large_forest_spectrum_read_off_structure(self, monkeypatch):
+        import scipy.sparse.linalg as spl
+
+        import gpi.metrics as metrics_mod
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("eigensolver called on a disconnected graph")
+
+        monkeypatch.setattr(spl, "eigsh", no_solver)
+        n = metrics_mod._DENSE_EIG_LIMIT + 10
+        forest = Graph.from_edges(n, [(i, i + 1) for i in range(0, n, 2)] + [(0, 2)])
+        assert not forest.is_connected()
+        assert (second_eigenvalue(forest), second_eigenvalue_signed(forest)) == (1.0, 1.0)
+        assert conductance_bounds(forest) == (0.0, 0.0)
+
+    def test_lanczos_start_vector_is_fixed(self, monkeypatch):
+        import gpi.metrics as metrics_mod
+
+        g = petersen_graph()
+        dense = second_eigenvalue(g)
+        monkeypatch.setattr(metrics_mod, "_DENSE_EIG_LIMIT", 5)
+        first = second_eigenvalue(g)
+        assert first == second_eigenvalue(g)
+        assert first == pytest.approx(dense, abs=1e-7)
+
+
 class TestCheegerBounds:
     def test_k4_bounds_bracket_exact(self):
         lower, upper = conductance_bounds(complete_graph(4))

@@ -1,5 +1,7 @@
 """Property tests over fuzzed event bodies and ledgers."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,12 +9,14 @@ from gpi.keys import generate_keypair
 from gpi.ledger import (
     Declare,
     Ledger,
+    ParseError,
     Pledge,
     Reset,
     ResetEndorsement,
     Signature,
     SignedEvent,
     Update,
+    VerifyError,
     append_event,
     parse_log,
     serialize_log,
@@ -57,6 +61,9 @@ class TestRoundTrip:
         again = parse_log(data)
         assert again == ledger
         assert serialize_log(again) == data
+        # the canonical line is exactly the compact json.dumps of its record
+        for raw in data.decode().splitlines():
+            assert json.dumps(json.loads(raw), separators=(",", ":")) == raw
 
     @given(st.lists(bodies(), min_size=1, max_size=10), st.data())
     @settings(max_examples=150, deadline=None)
@@ -68,6 +75,40 @@ class TestRoundTrip:
         body, key = data.draw(bodies())
         grown = append_event(ledger.prefix(k), body, key)
         assert grown.prefix(k) == ledger.prefix(k)
+
+
+# bytes that respell JSON (whitespace, case, literals) or break the framing
+MUTATION_BYTES = b' \t\r\n\x0c\xff"{}:,01aAfFtrue'
+
+
+@st.composite
+def mutated_logs(draw):
+    ledger = Ledger()
+    for body, key in draw(st.lists(bodies(), min_size=1, max_size=5)):
+        ledger = append_event(ledger, body, key)
+    raw = bytearray(serialize_log(ledger))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(raw) - 1))
+        op = draw(st.sampled_from(["upper", "insert", "replace", "delete"]))
+        if op == "upper":
+            raw[at:at + 1] = bytes(raw[at:at + 1]).upper()
+        elif op == "delete":
+            del raw[at]
+        else:
+            byte = draw(st.sampled_from(MUTATION_BYTES))
+            raw[at:at + (op == "replace")] = bytes([byte])
+    return bytes(raw)
+
+
+class TestCanonicalParse:
+    @given(mutated_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_success_implies_byte_identity(self, data):
+        try:
+            parsed = parse_log(data)
+        except (ParseError, VerifyError):
+            return
+        assert serialize_log(parsed) == data
 
 
 class TestNoForgedEventAccepted:

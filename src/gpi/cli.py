@@ -81,12 +81,7 @@ def _parse_ident_label(label: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_ledger_validate(args: argparse.Namespace) -> int:
-    try:
-        ledger = read_log(args.file)
-    except (ParseError, VerifyError) as exc:
-        print(json.dumps({"ok": False, "error": type(exc).__name__, "detail": str(exc),
-                          **({"seq": exc.seq} if isinstance(exc, VerifyError) else {"line": exc.line})}))
-        return 1
+    ledger = read_log(args.file)
     chains = provenance_chains(ledger, args.quorum)
     summary = {
         "ok": True,
@@ -165,9 +160,8 @@ def _cmd_metrics_conductance(args: argparse.Namespace) -> int:
 
 def _cmd_metrics_lambda(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
-    lam = metrics.second_eigenvalue(graph)
-    lam2 = metrics.second_eigenvalue_signed(graph)
-    lower, upper = metrics.conductance_bounds(graph)
+    lam, lam2 = metrics.rw_spectrum(graph)
+    lower, upper = metrics.cheeger_bounds(lam2)
     print(json.dumps({
         "lambda": lam,
         "lambda2_signed": lam2,
@@ -493,6 +487,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _Failure as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except (ParseError, VerifyError) as exc:
+        # an unreadable log is a validation failure, reported as JSON
+        print(json.dumps({"ok": False, "error": type(exc).__name__, "detail": str(exc),
+                          **({"seq": exc.seq} if isinstance(exc, VerifyError) else {"line": exc.line})}))
         return 1
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe: not an error

@@ -62,7 +62,6 @@ class CommunityHistory:
     """
 
     snapshots: tuple[frozenset[PublicIdentifier], ...]
-    provenance: tuple[int, ...]
 
     @property
     def final(self) -> frozenset[PublicIdentifier]:
@@ -71,24 +70,20 @@ class CommunityHistory:
 
 def history_from_ledger(ledger: Ledger) -> CommunityHistory:
     """Replay add/remove events: add only declared non-members, remove members."""
-    declared: set[PublicIdentifier] = set()
     current: frozenset[PublicIdentifier] = frozenset()
     snapshots = [current]
-    a = analyze(ledger)
-    intro_at = a.introduced_at
+    intro = analyze(ledger).intro
     for ev in ledger:
-        if ev.seq in intro_at:
-            declared.add(intro_at[ev.seq])
         body = ev.body
         if isinstance(body, CommunityAdd):
             # the identifier must be declared strictly before the add event
-            if body.v in declared and body.v not in current:
+            if intro.get(body.v, ev.seq) < ev.seq and body.v not in current:
                 current = current | {body.v}
         elif isinstance(body, CommunityRemove):
             if body.v in current:
                 current = current - {body.v}
         snapshots.append(current)
-    return CommunityHistory(tuple(snapshots), tuple(range(len(ledger))))
+    return CommunityHistory(tuple(snapshots))
 
 
 # ---------------------------------------------------------------------------

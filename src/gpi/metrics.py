@@ -325,44 +325,49 @@ def _rw_spectrum_extremes(graph: Graph) -> tuple[float, float]:
     return float(bottom[0]), float(np.sort(top)[0])
 
 
-def second_eigenvalue(graph: Graph) -> float:
-    """lambda(G): the largest modulus among non-principal random-walk eigenvalues.
+def rw_spectrum(graph: Graph) -> tuple[float, float]:
+    """(lambda, lambda_2) of the random walk, from one spectrum computation.
 
-    Always in [0, 1].  It is exactly 1 when the graph is disconnected (the
-    eigenvalue 1 repeats once per component) or bipartite (-1 is an
-    eigenvalue); both are read off the graph's structure, without an
-    eigensolver.  Raises ZeroDegreeVertex for an isolated vertex and
-    ValueError for fewer than two vertices.
+    lambda is the largest modulus among non-principal eigenvalues, always in
+    [0, 1]; lambda_2 is the signed second-largest eigenvalue (it feeds
+    Cheeger).  On a disconnected graph both are exactly 1, read off its
+    components (the eigenvalue 1 repeats once per component) without an
+    eigensolver.  On a connected bipartite graph lambda is exactly 1 (-1 is
+    an eigenvalue); lambda_2 still needs the spectrum.  Raises
+    ZeroDegreeVertex for an isolated vertex and ValueError for fewer than
+    two vertices.
     """
     _check_spectrum_input(graph)
-    if not graph.is_connected() or graph.is_bipartite():
-        return 1.0
+    if not graph.is_connected():
+        return 1.0, 1.0
     low, second = _rw_spectrum_extremes(graph)
-    lam = max(abs(low), abs(second))
+    lam = 1.0 if graph.is_bipartite() else max(abs(low), abs(second))
     if lam > 1.0:
         if lam > 1.0 + 1e-9:
             raise ArithmeticError(f"eigenvalue {lam} outside the stochastic range")
         lam = 1.0
-    return lam
+    return lam, min(second, 1.0)
+
+
+def second_eigenvalue(graph: Graph) -> float:
+    """lambda(G); see ``rw_spectrum``."""
+    return rw_spectrum(graph)[0]
 
 
 def second_eigenvalue_signed(graph: Graph) -> float:
-    """The signed second-largest random-walk eigenvalue (feeds Cheeger).
+    """The signed second-largest random-walk eigenvalue; see ``rw_spectrum``."""
+    return rw_spectrum(graph)[1]
 
-    Exactly 1 when the graph is disconnected, read off its components.
-    """
-    _check_spectrum_input(graph)
-    if not graph.is_connected():
-        return 1.0
-    _, second = _rw_spectrum_extremes(graph)
-    return min(second, 1.0)
+
+def cheeger_bounds(lam2: float) -> tuple[float, float]:
+    """Cheeger sandwich from lambda_2: (1-lambda_2)/2 <= Phi(G) <= sqrt(2(1-lambda_2))."""
+    gap = 1.0 - lam2
+    return gap / 2.0, float(np.sqrt(max(2.0 * gap, 0.0)))
 
 
 def conductance_bounds(graph: Graph) -> tuple[float, float]:
-    """Cheeger sandwich: (1-lambda_2)/2 <= Phi(G) <= sqrt(2(1-lambda_2))."""
-    lam2 = second_eigenvalue_signed(graph)
-    gap = 1.0 - lam2
-    return gap / 2.0, float(np.sqrt(max(2.0 * gap, 0.0)))
+    """Cheeger sandwich of the graph's conductance; see ``cheeger_bounds``."""
+    return cheeger_bounds(second_eigenvalue_signed(graph))
 
 
 # ---------------------------------------------------------------------------

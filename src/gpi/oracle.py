@@ -18,6 +18,14 @@ Classification rules:
   nullified by effective resets starts a new genuine lineage: resetting
   an identifier and starting over does not make an honest agent corrupt.
 
+Lineage-end rule: a lineage's tip at seq ``s`` is nullified before ``s``
+exactly when its *last* member (its root followed along
+``LedgerAnalysis.consumed``) is.  An update of a nullified identifier is
+invalid, so a tip nullified before ``s`` is never superseded; and a later
+member cannot be nullified before it is introduced.  So one pass in
+introduction order, keeping per agent only the seq by which all its
+lineages so far are nullified, decides every fresh declaration.
+
 An identifier is byzantine if it is a sybil or the genuine identifier of
 a corrupt agent; the rest are harmless.
 """
@@ -25,11 +33,12 @@ a corrupt agent; the rest are harmless.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .keys import PublicIdentifier
-from .ledger import Ledger, Pledge, Update
+from .ledger import Ledger, Pledge
 from .registry import DEFAULT_RESET_QUORUM, LedgerAnalysis, ProvenanceChain, analyze
 
 
@@ -118,56 +127,39 @@ class ClassificationReport:
 
 
 @dataclass
-class _Lineage:
-    owner: str
-    genuine: bool
-    tip: PublicIdentifier
-    members: list[PublicIdentifier]
-
-
-@dataclass
 class _OracleState:
     analysis: LedgerAnalysis
-    lineages: list[_Lineage]
-    lineage_of: dict[PublicIdentifier, int]
-    fresh_intros: dict[str, list[int]]  # agent -> seqs of fresh declarations
+    sybils: frozenset[PublicIdentifier]
+    corrupt: frozenset[str]
+    last_fresh: dict[str, int]  # agent -> seq of its latest fresh declaration
     declarer: dict[PublicIdentifier, str]  # rightful owner (actor of intro event)
 
 
 def _trace(ledger: Ledger, registry: AgentRegistry, quorum: Fraction | float) -> _OracleState:
     a = analyze(ledger, quorum)
-    lineages: list[_Lineage] = []
-    lineage_of: dict[PublicIdentifier, int] = {}
-    fresh_intros: dict[str, list[int]] = {}
+    sybils: set[PublicIdentifier] = set()
+    corrupt: set[str] = set()
+    dead_by: dict[str, float] = {}  # agent -> seq by which all its lineages so far are nullified
+    last_fresh: dict[str, int] = {}
     declarer: dict[PublicIdentifier, str] = {}
-    owner_lineages: dict[str, list[int]] = {}
 
     for seq in sorted(a.introduced_at):
         v = a.introduced_at[seq]
-        h = registry.actor_of(seq)
-        declarer[v] = h
-        event = ledger[seq]
-        if isinstance(event.body, Update) and a.update_valid.get(seq, False):
-            lin = lineage_of[event.body.old_v]
-            lineage_of[v] = lin
-            lineages[lin].tip = v
-            lineages[lin].members.append(v)
-            continue
+        h = declarer[v] = registry.actor_of(seq)
+        if a.update_valid.get(seq, False):
+            continue  # a later member of the lineage walked from its root
         # fresh declaration: genuine only if every earlier lineage of this
         # agent has been nullified by an effective reset before this event
-        alive = [
-            i
-            for i in owner_lineages.get(h, [])
-            if not a.is_nullified(lineages[i].tip, before=seq)
-        ]
-        lineage = _Lineage(owner=h, genuine=not alive, tip=v, members=[v])
-        lineages.append(lineage)
-        idx = len(lineages) - 1
-        lineage_of[v] = idx
-        owner_lineages.setdefault(h, []).append(idx)
-        fresh_intros.setdefault(h, []).append(seq)
+        members = [v]
+        while members[-1] in a.consumed:
+            members.append(a.introduced_at[a.consumed[members[-1]]])
+        if dead_by.get(h, -1) >= seq:
+            sybils.update(members)
+            corrupt.add(h)
+        dead_by[h] = max(dead_by.get(h, -1), a.nullified_at.get(members[-1], math.inf))
+        last_fresh[h] = seq
 
-    return _OracleState(a, lineages, lineage_of, fresh_intros, declarer)
+    return _OracleState(a, frozenset(sybils), frozenset(corrupt), last_fresh, declarer)
 
 
 def classify(
@@ -177,25 +169,17 @@ def classify(
 ) -> ClassificationReport:
     """Split declared identifiers into genuine/sybil and derive agent status."""
     state = _trace(ledger, registry, quorum_fraction)
-    genuine: set[PublicIdentifier] = set()
-    sybils: set[PublicIdentifier] = set()
-    corrupt: set[str] = set()
-    for lin in state.lineages:
-        bucket = genuine if lin.genuine else sybils
-        bucket.update(lin.members)
-        if not lin.genuine:
-            corrupt.add(lin.owner)
+    declared = frozenset(state.declarer)
+    genuine = declared - state.sybils
     agents = set(registry.agents) | set(registry.actor.values())
-    honest = agents - corrupt
-    byzantine = set(sybils) | {v for v in genuine if state.declarer[v] in corrupt}
-    harmless = (genuine | sybils) - byzantine
+    byzantine = state.sybils | {v for v in genuine if state.declarer[v] in state.corrupt}
     return ClassificationReport(
-        genuine=frozenset(genuine),
-        sybils=frozenset(sybils),
-        honest_agents=frozenset(honest),
-        corrupt_agents=frozenset(corrupt),
-        byzantine=frozenset(byzantine),
-        harmless=frozenset(harmless),
+        genuine=genuine,
+        sybils=state.sybils,
+        honest_agents=frozenset(agents - state.corrupt),
+        corrupt_agents=state.corrupt,
+        byzantine=byzantine,
+        harmless=declared - byzantine,
     )
 
 
@@ -216,7 +200,6 @@ def classify(
 
 def _pledge_violation_reason(
     state: _OracleState,
-    sybils: frozenset[PublicIdentifier],
     registry: AgentRegistry,
     pledge: Pledge,
     as_type: int,
@@ -235,21 +218,13 @@ def _pledge_violation_reason(
         return "holder-not-declarer"
     if as_type < 3:
         return None
-    if to_v in sybils:
+    if to_v in state.sybils:
         return "target-sybil"
     if as_type < 4:
         return None
-    if any(s > intro_seq for s in state.fresh_intros.get(owner, ())):
+    if state.last_fresh.get(owner, -1) > intro_seq:
         return "later-declaration"
     return None
-
-
-def _sybil_set(state: _OracleState) -> frozenset[PublicIdentifier]:
-    out: set[PublicIdentifier] = set()
-    for lineage in state.lineages:
-        if not lineage.genuine:
-            out.update(lineage.members)
-    return frozenset(out)
 
 
 def surety_violations(
@@ -262,11 +237,10 @@ def surety_violations(
     if surety_type not in (1, 2, 3, 4):
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
     state = _trace(ledger, registry, quorum_fraction)
-    sybils = _sybil_set(state)
     out = set()
     for ev in ledger:
         if isinstance(ev.body, Pledge) and ev.body.surety_type == surety_type:
-            reason = _pledge_violation_reason(state, sybils, registry, ev.body, surety_type)
+            reason = _pledge_violation_reason(state, registry, ev.body, surety_type)
             if reason is not None:
                 out.add((ev.seq, reason))
     return frozenset(out)
@@ -288,7 +262,7 @@ def pledge_violation(
     if not isinstance(event.body, Pledge):
         raise ValueError(f"event {seq} is not a pledge")
     state = _trace(ledger, registry, quorum_fraction)
-    return _pledge_violation_reason(state, _sybil_set(state), registry, event.body, as_type)
+    return _pledge_violation_reason(state, registry, event.body, as_type)
 
 
 def chain_has_single_actor(

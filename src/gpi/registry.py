@@ -140,13 +140,6 @@ def analyze(ledger: Ledger, quorum_fraction: Fraction | float = DEFAULT_RESET_QU
         a.intro[v] = seq
         a.introduced_at[seq] = v
 
-    def lineage_ok(v: PublicIdentifier) -> bool:
-        s = a.intro[v]
-        ev = a.introduced_at.get(s)
-        if ev is None:  # defensive; every intro seq is recorded
-            return False
-        return a.update_valid.get(s, True)  # declares and reset intros are valid heads
-
     for ev in ledger:
         body = ev.body
         seq = ev.seq
@@ -166,7 +159,7 @@ def analyze(ledger: Ledger, quorum_fraction: Fraction | float = DEFAULT_RESET_QU
             ok = (
                 old in a.intro
                 and a.intro[old] < seq
-                and lineage_ok(old)
+                and a.update_valid.get(a.intro[old], True)  # non-update heads are valid
                 and old not in a.consumed
                 and not a.is_nullified(old, before=seq)
             )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -103,11 +103,6 @@ class SimConfig:
     burn_in: int
     seed: int
     adversary: Strategy = "uniform"
-    # Admissions in the shipped dynamics always succeed (every candidate
-    # arrives with a surety edge), so this flag is inert; it records the
-    # modelling alternative of running detection even after a failed
-    # admission, should a failure mode ever be added.
-    detect_after_failed_admission: bool = False
 
     def __post_init__(self) -> None:
         if self.n0 < 1:
@@ -127,24 +122,16 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "p": self.p,
-            "k": self.k,
-            "sybil_rate": self.sybil_rate,
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "adversary": self.adversary,
-            "detect_after_failed_admission": self.detect_after_failed_admission,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

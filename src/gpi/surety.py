@@ -42,15 +42,6 @@ class SuretyGraph:
     edges: frozenset[Edge]
     witness: Mapping[Edge, tuple[int, int]]
 
-    def neighbors(self, v: PublicIdentifier) -> frozenset[PublicIdentifier]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return frozenset(out)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=lambda e: (e[0].label, e[1].label))
 

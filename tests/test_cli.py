@@ -59,12 +59,14 @@ class TestLedgerCommands:
         [pytest.param(data, error, where, id=name) for name, data, error, where in noncanonical_probes()],
     )
     def test_validate_noncanonical_log_exits_one_with_json(self, data, error, where, tmp_path, capsys):
+        # every command that reads a log reports an unreadable one the same way
         bad = tmp_path / "bad.log"
         bad.write_bytes(data)
-        assert main(["ledger", "validate", str(bad)]) == 1
-        out = json.loads(capsys.readouterr().out)
-        assert out["ok"] is False and out["error"] == error
-        assert out["line" if error == "ParseError" else "seq"] == where
+        for command in (["validate"], ["chains"], ["graph", "--type", "3"]):
+            assert main(["ledger", command[0], str(bad), *command[1:]]) == 1, command
+            out = json.loads(capsys.readouterr().out)
+            assert out["ok"] is False and out["error"] == error
+            assert out["line" if error == "ParseError" else "seq"] == where
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["ledger", "validate", "/nonexistent/x.log"]) == 2
@@ -118,6 +120,19 @@ class TestMetricsCommands:
         assert main(["metrics", "lambda", "--in", str(edgelist)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lambda"] == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_lambda_computes_the_spectrum_once(self, edgelist, capsys, monkeypatch):
+        import gpi.metrics as metrics_mod
+
+        calls = []
+        extremes = metrics_mod._rw_spectrum_extremes
+        monkeypatch.setattr(metrics_mod, "_rw_spectrum_extremes",
+                            lambda graph: calls.append(graph) or extremes(graph))
+        assert main(["metrics", "lambda", "--in", str(edgelist)]) == 0
+        assert len(calls) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["lambda2_signed"] == pytest.approx(-1 / 3, abs=1e-9)
+        assert out["cheeger_lower"] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_lambda_empty_edge_list_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.edges"
@@ -221,6 +236,13 @@ class TestSimCommands:
         manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
         assert manifest["config"]["seed"] == 3
         capsys.readouterr()
+
+    def test_grow_without_burn_in_exits_two_naming_it(self, capsys):
+        code = main(["sim", "grow", "--n0", "10", "--p", "0.5", "--k", "2",
+                     "--sybil-rate", "0.5", "--steps", "10", "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "burn_in" in err
 
     def test_observation2(self, capsys):
         code = main(["sim", "observation2", "--sigma-cap", "0.1", "--steps", "2000",

@@ -2,9 +2,10 @@
 
 import pytest
 
+from gpi.ledger import Update
 from gpi.oracle import MissingActor, classify, pledge_violation, surety_violations
 
-from helpers import Scenario, bf_classify, random_scenario
+from helpers import Scenario, bf_classify, bf_intro_events, bf_update_valid, random_scenario
 
 
 class TestClassify:
@@ -64,6 +65,24 @@ class TestClassify:
         assert report.byzantine == {scenario.ident("v"), scenario.ident("v2")}
         assert report.harmless == {scenario.ident("u")}
 
+    def test_lineage_end_decides_later_fresh_declarations(self, scenario):
+        # a lineage is alive until its last member is nullified, not its root
+        scenario.declare("v", "h")
+        scenario.declare("x", "h")       # sybil: v is alive
+        scenario.update("w", "v", "h")   # v's lineage continues after x
+        scenario.reset("w", "h")         # no neighbours: effective at once
+        scenario.declare("y", "h")       # sybil: x is still alive
+        scenario.reset("x", "h")
+        scenario.reset("y", "h")
+        scenario.declare("z", "h")       # genuine: v->w, x and y are all nullified
+        report = classify(scenario.ledger, scenario.registry)
+        ident = scenario.ident
+        assert report.genuine == {ident("v"), ident("w"), ident("z")}
+        assert report.sybils == {ident("x"), ident("y")}
+        assert report.corrupt_agents == {"h"}
+        genuine, sybils, corrupt = bf_classify(list(scenario.ledger), scenario.registry)
+        assert (report.genuine, report.sybils, report.corrupt_agents) == (genuine, sybils, corrupt)
+
     def test_missing_actor_raises(self, scenario):
         scenario.declare("v", "h")
         del scenario.registry.actor[0]
@@ -99,6 +118,36 @@ class TestViolations:
             (2, "later-declaration")
         }
         assert pledge_violation(scenario.ledger, scenario.registry, 2, as_type=3) is None
+
+    def test_fresh_declaration_after_the_pledge_violates_type4(self, scenario):
+        scenario.declare("vp", "hp")                # seq 0
+        scenario.declare("v", "h")
+        early = scenario.pledge(4, "v", "vp", "h")  # seq 2
+        scenario.update("vp2", "vp", "hp")          # not a fresh declaration
+        scenario.reset("vp2", "hp")                 # no neighbours: effective at once
+        scenario.declare("vp3", "hp")               # seq 5: fresh, genuine, after the pledge
+        late = scenario.pledge(4, "v", "vp3", "h")  # vp3 is hp's latest declaration
+        events = list(scenario.ledger)
+        report = classify(scenario.ledger, scenario.registry)
+        assert (report.genuine, report.sybils, report.corrupt_agents) == bf_classify(
+            events, scenario.registry
+        )
+        assert scenario.ident("vp3") in report.genuine
+        intro = bf_intro_events(events)
+        fresh = [
+            seq for seq in intro.values()
+            if not (isinstance(events[seq].body, Update) and bf_update_valid(events, seq))
+        ]
+
+        def later_declaration(pledge_seq: int) -> bool:
+            target = events[pledge_seq].body.to_v
+            owner = scenario.registry.actor_of(intro[target])
+            return any(s > intro[target] and scenario.registry.actor_of(s) == owner for s in fresh)
+
+        assert surety_violations(scenario.ledger, scenario.registry, 4) == {
+            (seq, "later-declaration") for seq in (early, late) if later_declaration(seq)
+        } == {(early, "later-declaration")}
+        assert pledge_violation(scenario.ledger, scenario.registry, early, 3) is None
 
     def test_honest_single_identifier_agent_never_violates(self, scenario):
         scenario.declare("a", "ha")

@@ -99,6 +99,14 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"n0": 1, "p": 1, "k": 1, "sybil_rate": 0, "steps": 2, "burn_in": 0, "seed": 1, "bogus": 3})
 
+    def test_from_dict_names_missing_keys_and_round_trips(self):
+        raw = {"n0": 1, "p": 1, "k": 1, "sybil_rate": 0, "steps": 2, "seed": 1}
+        with pytest.raises(ConfigError, match="burn_in"):
+            SimConfig.from_dict(raw)
+        config = SimConfig.from_dict({**raw, "burn_in": 0})
+        assert list(config.to_dict()) == ["n0", "p", "k", "sybil_rate", "steps", "burn_in", "seed", "adversary"]
+        assert SimConfig.from_dict(config.to_dict()) == config
+
 
 class TestAgentSim:
     def config(self, **overrides) -> SimConfig:

@@ -26,9 +26,11 @@ becomes ``inconclusive`` when neither bound settles the inequality.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet
+from typing import AbstractSet, Iterator, Optional
 
 from .keys import PublicIdentifier
 from .ledger import CommunityAdd, CommunityRemove, Ledger
@@ -53,37 +55,104 @@ class EmptyCommunity(ValueError):
 # Histories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommunityHistory:
-    """Snapshot per ledger event; ``snapshots[0]`` is the initial empty set.
+_CHECKPOINT_EVERY = 1024  # events between stored snapshots of a history
 
-    ``snapshots[i+1]`` is the community after event seq ``i``; invalid
-    add/remove events repeat the previous snapshot.
+_Change = Optional[tuple[PublicIdentifier, bool]]  # (member, added), None if unchanged
+
+
+class _Snapshots(Sequence[frozenset[PublicIdentifier]]):
+    """The community after each ledger prefix, rebuilt on demand.
+
+    ``self[k]`` starts from the checkpoint stored at the largest multiple
+    of ``_CHECKPOINT_EVERY`` at or below ``k`` and replays the membership
+    changes after it.
     """
 
-    snapshots: tuple[frozenset[PublicIdentifier], ...]
+    def __init__(self, changes: list[_Change], checkpoints: list[frozenset[PublicIdentifier]]):
+        self._changes = changes
+        self._checkpoints = checkpoints
 
-    @property
-    def final(self) -> frozenset[PublicIdentifier]:
-        return self.snapshots[-1]
+    def __len__(self) -> int:
+        return len(self._changes) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("snapshot index out of range")
+        block, offset = divmod(k, _CHECKPOINT_EVERY)
+        if offset == 0:
+            return self._checkpoints[block]
+        members = set(self._checkpoints[block])
+        for change in self._changes[k - offset : k]:
+            if change is not None:
+                v, added = change
+                if added:
+                    members.add(v)
+                else:
+                    members.discard(v)
+        return frozenset(members)
+
+    def __iter__(self) -> Iterator[frozenset[PublicIdentifier]]:
+        current: frozenset[PublicIdentifier] = frozenset()
+        yield current
+        for change in self._changes:
+            if change is not None:
+                v, added = change
+                current = current | {v} if added else current - {v}
+            yield current
+
+
+@dataclass(frozen=True)
+class CommunityHistory:
+    """The community after every ledger prefix, kept as membership changes.
+
+    ``snapshots[k]`` is the community after the first ``k`` events:
+    ``snapshots[0]`` is the empty set and ``len(snapshots)`` is the number
+    of events plus one; invalid add/remove events leave it unchanged.
+    What is stored is one change (or None) per event plus a frozenset
+    checkpoint every ``_CHECKPOINT_EVERY`` events, so memory is O(events
+    + checkpoints × community size).  ``snapshots[k]`` is a new frozenset
+    built from the nearest checkpoint at or below ``k``, costing up to the
+    checkpoint spacing in replayed events plus the community size; a
+    checkpoint itself is returned as stored.  Iterating replays the whole
+    history once.
+    """
+
+    snapshots: Sequence[frozenset[PublicIdentifier]]
+    final: frozenset[PublicIdentifier]
 
 
 def history_from_ledger(ledger: Ledger) -> CommunityHistory:
-    """Replay add/remove events: add only declared non-members, remove members."""
-    current: frozenset[PublicIdentifier] = frozenset()
-    snapshots = [current]
+    """Replay add/remove events: add only declared non-members, remove members.
+
+    One pass over the ledger records, per event, the membership change it
+    makes (None for every other event and for invalid adds and removes),
+    and a frozenset of the members every ``_CHECKPOINT_EVERY`` events.
+    """
+    members: set[PublicIdentifier] = set()
+    changes: list[_Change] = []
+    checkpoints = [frozenset()]
     intro = analyze(ledger).intro
     for ev in ledger:
         body = ev.body
+        change: _Change = None
         if isinstance(body, CommunityAdd):
             # the identifier must be declared strictly before the add event
-            if intro.get(body.v, ev.seq) < ev.seq and body.v not in current:
-                current = current | {body.v}
+            if intro.get(body.v, ev.seq) < ev.seq and body.v not in members:
+                members.add(body.v)
+                change = (body.v, True)
         elif isinstance(body, CommunityRemove):
-            if body.v in current:
-                current = current - {body.v}
-        snapshots.append(current)
-    return CommunityHistory(tuple(snapshots))
+            if body.v in members:
+                members.remove(body.v)
+                change = (body.v, False)
+        changes.append(change)
+        if len(changes) % _CHECKPOINT_EVERY == 0:
+            checkpoints.append(frozenset(members))
+    return CommunityHistory(_Snapshots(changes, checkpoints), frozenset(members))
 
 
 # ---------------------------------------------------------------------------

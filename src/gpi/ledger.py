@@ -19,10 +19,14 @@ Each body type fixes who must sign it:
   key.  Community governance is out of scope, so who gets to sign these is
   a configuration choice (``Ledger.admins``), not a protocol rule.
 
-Concurrency: ledger values are immutable once constructed and safe to
-share across threads.  ``append_event`` returns a new value; a single
-writer per ledger instance is the contract (the backing store is shared
-structurally between a ledger and the values appended from it).
+Concurrency: the events of a ledger value never change once it is
+constructed.  ``append_event`` returns a new value; a single writer per
+ledger instance is the contract.  The backing store is shared structurally
+between a ledger, its prefixes and the values appended at its tip, and so
+are the folds derived from it: each derived fold (see ``Ledger.derived``)
+is built once per backing and advanced lazily by whichever value reads it.
+Under the single-writer contract one thread at a time reads derived state
+from, or appends to, one backing.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar, Union
 
 from .keys import KeyPair, PublicIdentifier, Signature, UnknownScheme, get_scheme
 
@@ -215,6 +219,20 @@ def verify_event(event: SignedEvent) -> bool:
     )
 
 
+_Derived = TypeVar("_Derived")
+
+
+class _Backing:
+    """The event list that a ledger, its prefixes and its tip appends share,
+    with the folds derived from it, keyed by whoever derives them."""
+
+    __slots__ = ("events", "folds")
+
+    def __init__(self, events: list[SignedEvent]):
+        self.events = events
+        self.folds: dict[Hashable, object] = {}
+
+
 class Ledger:
     """Immutable totally-ordered sequence of verified signed events.
 
@@ -222,6 +240,8 @@ class Ledger:
     Appends at the tip share the backing list structurally, so building a
     long log by repeated appends stays O(1) amortized while every
     previously obtained ledger value keeps observing exactly its prefix.
+    An append from a value that is not the tip copies its prefix into a
+    fresh backing.
     """
 
     __slots__ = ("_backing", "_length", "admins", "_mention_index")
@@ -235,7 +255,7 @@ class Ledger:
         for i, ev in enumerate(backing):
             if ev.seq != i:
                 raise ValueError(f"event at position {i} carries seq {ev.seq}")
-        self._backing: list[SignedEvent] = backing
+        self._backing = _Backing(backing)
         self._length: int = len(backing)
         self.admins: frozenset[PublicIdentifier] = frozenset(admins)
         self._mention_index: dict[PublicIdentifier, tuple[int, ...]] | None = None
@@ -244,13 +264,14 @@ class Ledger:
         return self._length
 
     def __iter__(self) -> Iterator[SignedEvent]:
+        events = self._backing.events
         for i in range(self._length):
-            yield self._backing[i]
+            yield events[i]
 
     def __getitem__(self, seq: int) -> SignedEvent:
         if not 0 <= seq < self._length:
             raise IndexError(seq)
-        return self._backing[seq]
+        return self._backing.events[seq]
 
     def __eq__(self, other: object) -> bool:
         # Value identity is the event sequence; the admin set is append-time
@@ -267,7 +288,7 @@ class Ledger:
 
     @property
     def events(self) -> tuple[SignedEvent, ...]:
-        return tuple(self._backing[: self._length])
+        return tuple(self._backing.events[: self._length])
 
     def events_for(self, v: PublicIdentifier) -> tuple[int, ...]:
         """Seqs of events mentioning ``v``, built lazily per ledger value."""
@@ -279,37 +300,43 @@ class Ledger:
             self._mention_index = {k: tuple(seqs) for k, seqs in index.items()}
         return self._mention_index.get(v, ())
 
+    def derived(self, key: Hashable, build: Callable[[], _Derived]) -> _Derived:
+        """The fold stored under ``key`` on this value's backing, built on first use.
+
+        Every value sharing the backing gets the same object, so a fold
+        must record when each of its facts became true: the caller advances
+        it to ``len(self)`` and reads only the facts stamped before that.
+        """
+        folds = self._backing.folds
+        if key not in folds:
+            folds[key] = build()
+        return folds[key]  # type: ignore[return-value]
+
+    @staticmethod
+    def _view(backing: _Backing, length: int, admins: frozenset[PublicIdentifier]) -> Ledger:
+        out = Ledger.__new__(Ledger)
+        out._backing = backing
+        out._length = length
+        out.admins = admins
+        out._mention_index = None
+        return out
+
     def prefix(self, k: int) -> Ledger:
         """The ledger value containing exactly the events with seq < k."""
         if not 0 <= k <= self._length:
             raise ValueError(f"prefix length {k} out of range 0..{self._length}")
-        out = Ledger.__new__(Ledger)
-        out._backing = self._backing
-        out._length = k
-        out.admins = self.admins
-        out._mention_index = None
-        return out
+        return self._view(self._backing, k, self.admins)
 
     def with_admins(self, admins: Iterable[PublicIdentifier]) -> Ledger:
-        out = Ledger.__new__(Ledger)
-        out._backing = self._backing
-        out._length = self._length
-        out.admins = frozenset(admins)
-        out._mention_index = None
-        return out
+        return self._view(self._backing, self._length, frozenset(admins))
 
     def _appended(self, event: SignedEvent) -> Ledger:
-        if self._length == len(self._backing):
-            self._backing.append(event)
-            backing = self._backing
-        else:  # appending from a non-tip value: copy the prefix
-            backing = self._backing[: self._length] + [event]
-        out = Ledger.__new__(Ledger)
-        out._backing = backing
-        out._length = self._length + 1
-        out.admins = self.admins
-        out._mention_index = None
-        return out
+        backing = self._backing
+        if self._length == len(backing.events):
+            backing.events.append(event)
+        else:  # appending from a non-tip value: copy the prefix, fold nothing
+            backing = _Backing(backing.events[: self._length] + [event])
+        return self._view(backing, self._length + 1, self.admins)
 
 
 def append_event(ledger: Ledger, body: EventBody, signer_key_pair: KeyPair) -> Ledger:
@@ -331,11 +358,11 @@ def append_event(ledger: Ledger, body: EventBody, signer_key_pair: KeyPair) -> L
         )
     message = encode_body(body)
     scheme = get_scheme(public.scheme_id)
-    sig = Signature(scheme.sign(signer_key_pair.secret, message))
-    event = SignedEvent(len(ledger), body, public, sig)
-    if not verify_event(event):  # never store anything that does not verify
+    sig = scheme.sign(signer_key_pair.secret, message)
+    # never store anything that does not verify (same check as verify_event)
+    if not scheme.verify(public.key_bytes, message, sig):
         raise SignerMismatch("produced signature failed verification")
-    return ledger._appended(event)
+    return ledger._appended(SignedEvent(len(ledger), body, public, Signature(sig)))
 
 
 # ---------------------------------------------------------------------------

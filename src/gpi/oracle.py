@@ -143,8 +143,7 @@ def _trace(ledger: Ledger, registry: AgentRegistry, quorum: Fraction | float) ->
     last_fresh: dict[str, int] = {}
     declarer: dict[PublicIdentifier, str] = {}
 
-    for seq in sorted(a.introduced_at):
-        v = a.introduced_at[seq]
+    for seq, v in a.introduced_at.items():  # in seq order
         h = declarer[v] = registry.actor_of(seq)
         if a.update_valid.get(seq, False):
             continue  # a later member of the lineage walked from its root

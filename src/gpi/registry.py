@@ -19,18 +19,25 @@ Conventions baked in:
   reset's seq) have been logged after it; with no such neighbours the
   reset is effective immediately.  The quorum fraction is configurable
   and defaults to 2/3.
+
+Every fact is stamped with the seq at which it became true, and an event's
+effect depends only on earlier events, so one fold per ledger backing and
+quorum (``analyze``) serves the ledger, each of its prefixes and the values
+appended at its tip: a prefix reads the cached fold by seq comparison.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterator, NamedTuple
 
 from .keys import PublicIdentifier
 from .ledger import (
-    CommunityAdd,
-    CommunityRemove,
     Declare,
     Ledger,
     Pledge,
@@ -72,130 +79,288 @@ class IdentifierStatus:
     state: str
 
 
-@dataclass
-class _ResetRecord:
+class ResetRecord(NamedTuple):
+    """One reset as of some prefix: when it was posted, whom it needs, and
+    when it became effective (None while it is pending in that prefix)."""
+
     seq: int
     neighbors: frozenset[PublicIdentifier]
     needed: int
-    endorsers: set[PublicIdentifier] = field(default_factory=set)
-    effective_at: int | None = None
+    effective_at: int | None
 
 
 @dataclass
-class LedgerAnalysis:
-    """Single-pass derivation shared by the registry, oracle and graphs."""
+class _PendingReset:
+    seq: int
+    neighbors: frozenset[PublicIdentifier]
+    needed: int
+    # endorsers are not seq-stamped: a prefix view reads only effective_at
+    endorsers: set[PublicIdentifier] = field(default_factory=set)
+    effective_at: int | None = None
 
-    quorum: Fraction
-    intro: dict[PublicIdentifier, int] = field(default_factory=dict)
-    introduced_at: dict[int, PublicIdentifier] = field(default_factory=dict)
-    duplicates: list[int] = field(default_factory=list)
-    update_valid: dict[int, bool] = field(default_factory=dict)
-    consumed: dict[PublicIdentifier, int] = field(default_factory=dict)
-    children: dict[PublicIdentifier, list[int]] = field(default_factory=dict)
-    resets: dict[PublicIdentifier, list[_ResetRecord]] = field(default_factory=dict)
-    nullified_at: dict[PublicIdentifier, int] = field(default_factory=dict)
-    referenced_old: set[PublicIdentifier] = field(default_factory=set)
-    # directed pledges per type: type -> from -> {to -> first seq}
-    pledges: dict[int, dict[PublicIdentifier, dict[PublicIdentifier, int]]] = field(
-        default_factory=lambda: {1: {}, 2: {}, 3: {}, 4: {}}
-    )
+    def as_of(self, k: int) -> ResetRecord:
+        at = self.effective_at
+        return ResetRecord(self.seq, self.neighbors, self.needed, at if at is not None and at < k else None)
 
-    def is_nullified(self, v: PublicIdentifier, before: int | None = None) -> bool:
-        at = self.nullified_at.get(v)
-        if at is None:
-            return False
-        return True if before is None else at < before
 
-    def mutual_neighbors(
-        self, v: PublicIdentifier, types: Iterable[int], before: int
-    ) -> frozenset[PublicIdentifier]:
-        """Identifiers with a completed mutual pledge to ``v`` before ``before``.
+class _Fold:
+    """The registry fold of one ledger backing, advanced one event at a time.
 
-        Both directed pledges and both introductions must precede ``before``.
+    Every fact is stamped with the seq of the event that made it true, and
+    no later event changes a stamp.  So the fold of a prefix of length k is
+    this fold with every fact stamped at or after k dropped, and each table
+    lists its facts in stamp order.
+    """
+
+    def __init__(self, quorum: Fraction):
+        self.quorum = quorum
+        self.length = 0  # events folded so far
+        self.intro: dict[PublicIdentifier, int] = {}
+        self.introduced_at: dict[int, PublicIdentifier] = {}
+        self.duplicates: list[int] = []
+        self.update_valid: dict[int, bool] = {}
+        self.consumed: dict[PublicIdentifier, int] = {}
+        self.children: dict[PublicIdentifier, list[int]] = {}
+        self.resets: dict[PublicIdentifier, list[_PendingReset]] = {}
+        self.nullified_at: dict[PublicIdentifier, int] = {}
+        self.referenced_old: dict[PublicIdentifier, int] = {}  # first seq naming it as old
+        # directed pledges per type: type -> from -> {to -> first seq}
+        self.pledges: dict[int, dict[PublicIdentifier, dict[PublicIdentifier, int]]] = {
+            1: {}, 2: {}, 3: {}, 4: {}
+        }
+        # mutual pairs per type, in the order they complete:
+        # type -> {(u, v): (first seq of u -> v, first seq of v -> u)}, u -> v the later
+        self.mutual: dict[int, dict[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]] = {
+            1: {}, 2: {}, 3: {}, 4: {}
+        }
+
+    def _mutual_neighbors(self, v: PublicIdentifier) -> frozenset[PublicIdentifier]:
+        """Declared identifiers with a completed type 2..4 mutual pledge to ``v``.
+
+        Everything folded so far precedes the event being folded.
         """
         out: set[PublicIdentifier] = set()
-        if self.intro.get(v, before) >= before:
-            return frozenset()
-        for t in types:
+        for t in (2, 3, 4):
             per_type = self.pledges[t]
-            for u, s_vu in per_type.get(v, {}).items():
-                if s_vu >= before or u in out:
-                    continue
-                s_uv = per_type.get(u, {}).get(v)
-                if s_uv is None or s_uv >= before:
-                    continue
-                if self.intro.get(u, before) < before:
-                    out.add(u)
+            out.update(u for u in per_type.get(v, ()) if v in per_type.get(u, ()) and u in self.intro)
         return frozenset(out)
+
+    def _introduce(self, v: PublicIdentifier, seq: int) -> None:
+        self.intro[v] = seq
+        self.introduced_at[seq] = v
+
+    def advance(self, ledger: Ledger, k: int) -> None:
+        """Fold the events of ``ledger`` from ``self.length`` up to seq ``k``."""
+        q = self.quorum
+        for seq in range(self.length, k):
+            body = ledger[seq].body
+            if isinstance(body, Declare):
+                if body.v in self.intro:
+                    self.duplicates.append(seq)
+                else:
+                    self._introduce(body.v, seq)
+            elif isinstance(body, Update):
+                old = body.old_v
+                self.referenced_old.setdefault(old, seq)
+                if body.new_v in self.intro:
+                    self.duplicates.append(seq)
+                    continue
+                self._introduce(body.new_v, seq)
+                self.children.setdefault(old, []).append(seq)
+                ok = (
+                    old in self.intro
+                    and self.intro[old] < seq
+                    and self.update_valid.get(self.intro[old], True)  # non-update heads are valid
+                    and old not in self.consumed
+                    and old not in self.nullified_at  # everything folded so far precedes seq
+                )
+                self.update_valid[seq] = ok
+                if ok:
+                    self.consumed[old] = seq
+            elif isinstance(body, Reset):
+                v = body.old_v
+                if v in self.intro:
+                    neighbors = self._mutual_neighbors(v)
+                else:  # a reset is still a declaration event of v, which has no neighbours yet
+                    self._introduce(v, seq)
+                    neighbors = frozenset()
+                n = len(neighbors)
+                needed = -(-(q * n).numerator // (q * n).denominator)  # ceil(q*n)
+                rec = _PendingReset(seq, neighbors, needed)
+                if n == 0:  # nobody to object: effective immediately
+                    rec.effective_at = seq
+                    self.nullified_at.setdefault(v, seq)
+                self.resets.setdefault(v, []).append(rec)
+            elif isinstance(body, ResetEndorsement):
+                for rec in self.resets.get(body.target_v, ()):
+                    if rec.effective_at is None and body.endorser_v in rec.neighbors:
+                        rec.endorsers.add(body.endorser_v)
+                        if len(rec.endorsers) >= rec.needed:
+                            rec.effective_at = seq
+                            self.nullified_at.setdefault(body.target_v, seq)
+            elif isinstance(body, Pledge):
+                per_type = self.pledges[body.surety_type]
+                per_from = per_type.setdefault(body.from_v, {})
+                if body.to_v not in per_from:  # duplicates collapse, earliest wins
+                    per_from[body.to_v] = seq
+                    back = per_type.get(body.to_v, {}).get(body.from_v)
+                    if back is not None:
+                        self.mutual[body.surety_type][body.from_v, body.to_v] = (seq, back)
+        self.length = max(self.length, k)
+
+
+_ABSENT = object()
+
+
+class _Cut(Mapping):
+    """Read-only view of one fold table, cut to the facts stamped before ``k``.
+
+    ``stamp(key, value)`` is the seq at which an entry became true.  Stamps
+    never decrease in a table's insertion order, so iteration stops at the
+    first entry stamped at or after ``k``.  ``show(value)`` hands out the
+    value as of ``k``, in a form the caller cannot use to change the fold.
+    """
+
+    __slots__ = ("_table", "_k", "_stamp", "_show")
+
+    def __init__(self, table: dict, k: int, stamp: Callable, show: Callable | None = None):
+        self._table, self._k, self._stamp, self._show = table, k, stamp, show
+
+    def get(self, key, default=None):
+        value = self._table.get(key, _ABSENT)
+        if value is _ABSENT or self._stamp(key, value) >= self._k:
+            return default
+        return value if self._show is None else self._show(value)
+
+    def __getitem__(self, key):
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key, _ABSENT) is not _ABSENT
+
+    def __iter__(self) -> Iterator:
+        for key, value in self._table.items():
+            if self._stamp(key, value) >= self._k:
+                return
+            yield key
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def items(self) -> ItemsView:
+        return _CutItems(self)
+
+
+class _CutItems(ItemsView):
+    def __iter__(self) -> Iterator:  # one table lookup per entry
+        cut = self._mapping
+        for key, value in cut._table.items():
+            if cut._stamp(key, value) >= cut._k:
+                return
+            yield key, (value if cut._show is None else cut._show(value))
+
+
+def _by_key(key, value):
+    return key
+
+
+def _by_value(key, value):
+    return value
+
+
+def _by_first(key, value):
+    return value[0]
+
+
+class LedgerAnalysis:
+    """The registry facts of the first ``k`` events of a ledger, read-only.
+
+    A view of the fold its backing caches: every table is cut at ``k`` by
+    seq comparison, so the view of a prefix answers exactly what a fresh
+    fold of that prefix would, and a view keeps answering for its ``k``
+    after the fold advances.  Each table's view is made on first use.
+    """
+
+    def __init__(self, fold: _Fold, k: int):
+        self._fold, self._k = fold, k
+        self.quorum = fold.quorum
+
+    @cached_property
+    def intro(self) -> Mapping[PublicIdentifier, int]:
+        return _Cut(self._fold.intro, self._k, _by_value)
+
+    @cached_property
+    def introduced_at(self) -> Mapping[int, PublicIdentifier]:
+        return _Cut(self._fold.introduced_at, self._k, _by_key)
+
+    @cached_property
+    def duplicates(self) -> tuple[int, ...]:
+        return tuple(self._fold.duplicates[: bisect_left(self._fold.duplicates, self._k)])
+
+    @cached_property
+    def update_valid(self) -> Mapping[int, bool]:
+        return _Cut(self._fold.update_valid, self._k, _by_key)
+
+    @cached_property
+    def consumed(self) -> Mapping[PublicIdentifier, int]:
+        return _Cut(self._fold.consumed, self._k, _by_value)
+
+    @cached_property
+    def children(self) -> Mapping[PublicIdentifier, tuple[int, ...]]:
+        k = self._k
+        return _Cut(self._fold.children, k, _by_first, lambda seqs: tuple(seqs[: bisect_left(seqs, k)]))
+
+    @cached_property
+    def resets(self) -> Mapping[PublicIdentifier, tuple[ResetRecord, ...]]:
+        k = self._k
+        return _Cut(self._fold.resets, k, lambda v, recs: recs[0].seq,
+                    lambda recs: tuple(r.as_of(k) for r in recs if r.seq < k))
+
+    @cached_property
+    def nullified_at(self) -> Mapping[PublicIdentifier, int]:
+        return _Cut(self._fold.nullified_at, self._k, _by_value)
+
+    @cached_property
+    def referenced_old(self) -> Mapping[PublicIdentifier, int]:
+        """First seq of an update naming each identifier as its old side."""
+        return _Cut(self._fold.referenced_old, self._k, _by_value)
+
+    @cached_property
+    def pledges(self) -> Mapping[int, Mapping[PublicIdentifier, Mapping[PublicIdentifier, int]]]:
+        """Directed pledges per type: type -> from -> {to -> first seq}."""
+        k = self._k
+        return MappingProxyType({  # a source is stamped by its first pledge
+            t: _Cut(per_type, k, lambda u, to: next(iter(to.values())), lambda to: _Cut(to, k, _by_value))
+            for t, per_type in self._fold.pledges.items()
+        })
+
+    @cached_property
+    def mutual(self) -> Mapping[int, Mapping[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]]:
+        """Mutual pairs per type: (u, v) -> (first seq of u -> v, of v -> u),
+        stamped by the later of the two."""
+        return MappingProxyType({t: _Cut(pairs, self._k, _by_first) for t, pairs in self._fold.mutual.items()})
+
+    def is_nullified(self, v: PublicIdentifier) -> bool:
+        return v in self.nullified_at
 
 
 def analyze(ledger: Ledger, quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM) -> LedgerAnalysis:
-    """Derive introduction, validity, reset and pledge state in one pass."""
+    """Introduction, validity, reset and pledge state of ``ledger``.
+
+    One fold per backing and quorum serves the ledger, its prefixes and
+    the values appended at its tip: it is advanced to ``len(ledger)`` if it
+    has not got that far yet, then read through a view cut at that length.
+    """
     q = Fraction(quorum_fraction)
     if not 0 < q <= 1:
         raise ValueError("quorum fraction must lie in (0, 1]")
-    a = LedgerAnalysis(quorum=q)
-
-    def introduce(v: PublicIdentifier, seq: int) -> None:
-        a.intro[v] = seq
-        a.introduced_at[seq] = v
-
-    for ev in ledger:
-        body = ev.body
-        seq = ev.seq
-        if isinstance(body, Declare):
-            if body.v in a.intro:
-                a.duplicates.append(seq)
-            else:
-                introduce(body.v, seq)
-        elif isinstance(body, Update):
-            a.referenced_old.add(body.old_v)
-            if body.new_v in a.intro:
-                a.duplicates.append(seq)
-                continue
-            introduce(body.new_v, seq)
-            a.children.setdefault(body.old_v, []).append(seq)
-            old = body.old_v
-            ok = (
-                old in a.intro
-                and a.intro[old] < seq
-                and a.update_valid.get(a.intro[old], True)  # non-update heads are valid
-                and old not in a.consumed
-                and not a.is_nullified(old, before=seq)
-            )
-            a.update_valid[seq] = ok
-            if ok:
-                a.consumed[old] = seq
-        elif isinstance(body, Reset):
-            v = body.old_v
-            if v not in a.intro:
-                introduce(v, seq)  # a reset is still a declaration event of v
-            neighbors = a.mutual_neighbors(v, (2, 3, 4), before=seq)
-            n = len(neighbors)
-            needed = -(-(q * n).numerator // (q * n).denominator)  # ceil(q*n)
-            rec = _ResetRecord(seq, neighbors, needed)
-            if n == 0:  # nobody to object: effective immediately
-                rec.effective_at = seq
-                if v not in a.nullified_at:
-                    a.nullified_at[v] = seq
-            a.resets.setdefault(v, []).append(rec)
-        elif isinstance(body, ResetEndorsement):
-            for rec in a.resets.get(body.target_v, ()):
-                if rec.effective_at is not None or seq <= rec.seq:
-                    continue
-                if body.endorser_v in rec.neighbors:
-                    rec.endorsers.add(body.endorser_v)
-                    if len(rec.endorsers) >= rec.needed:
-                        rec.effective_at = seq
-                        prev = a.nullified_at.get(body.target_v)
-                        if prev is None or seq < prev:
-                            a.nullified_at[body.target_v] = seq
-        elif isinstance(body, Pledge):
-            per_from = a.pledges[body.surety_type].setdefault(body.from_v, {})
-            per_from.setdefault(body.to_v, seq)  # duplicates collapse, earliest wins
-        elif isinstance(body, (CommunityAdd, CommunityRemove)):
-            pass
-    return a
+    fold = ledger.derived(("registry", q.numerator, q.denominator), lambda: _Fold(q))
+    if fold.length < len(ledger):
+        fold.advance(ledger, len(ledger))
+    return LedgerAnalysis(fold, len(ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +374,7 @@ def first_declaration(ledger: Ledger, v: PublicIdentifier) -> int | None:
 
 def duplicate_declarations(ledger: Ledger) -> tuple[int, ...]:
     """Seqs of declaration events re-introducing an already-known identifier."""
-    return tuple(analyze(ledger).duplicates)
+    return analyze(ledger).duplicates
 
 
 def is_valid_update(
@@ -223,7 +388,7 @@ def is_valid_update(
     return analyze(ledger, quorum_fraction).update_valid.get(seq, False)
 
 
-def _thread_chains(ledger: Ledger, a: LedgerAnalysis) -> list[ProvenanceChain]:
+def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
     # The continuation of an identifier is the valid update consuming it if
     # one exists, else its earliest referencing update; all other updates of
     # the same identifier start chains of their own.
@@ -233,12 +398,12 @@ def _thread_chains(ledger: Ledger, a: LedgerAnalysis) -> list[ProvenanceChain]:
 
     continuation_seqs = set(continuation.values())
     chains: list[ProvenanceChain] = []
-    for seq in sorted(a.introduced_at):
+    for seq, cur_id in a.introduced_at.items():  # in seq order
         if seq in continuation_seqs:
             continue  # belongs to the middle of some chain
         links: list[int] = []
         idents: list[PublicIdentifier] = []
-        cur_seq, cur_id = seq, a.introduced_at[seq]
+        cur_seq = seq
         while True:
             links.append(cur_seq)
             idents.append(cur_id)
@@ -270,7 +435,7 @@ def provenance_chains(
     valid iff every one of its update links is valid; its current (tip)
     identifier is computed structurally either way.
     """
-    return _thread_chains(ledger, analyze(ledger, quorum_fraction))
+    return _thread_chains(analyze(ledger, quorum_fraction))
 
 
 def current_identifiers(
@@ -279,7 +444,7 @@ def current_identifiers(
 ) -> frozenset[PublicIdentifier]:
     """Tips of maximal valid chains, minus identifiers nullified by reset."""
     a = analyze(ledger, quorum_fraction)
-    chains = _thread_chains(ledger, a)
+    chains = _thread_chains(a)
     return frozenset(
         c.current
         for c in chains

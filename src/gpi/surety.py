@@ -65,22 +65,12 @@ def graph_at(
     if not 0 <= k <= len(ledger):
         raise ValueError(f"prefix {k} out of range 0..{len(ledger)}")
     a = analyze(ledger.prefix(k), quorum_fraction)
-    vertices = frozenset(v for v in a.intro if not a.is_nullified(v))
-    per_type = a.pledges[surety_type]
+    vertices = frozenset(a.intro).difference(a.nullified_at)
     edges: dict[Edge, tuple[int, int]] = {}
-    for u, targets in per_type.items():
-        if u not in vertices:
-            continue
-        for v, s_uv in targets.items():
-            if v not in vertices:
-                continue
-            s_vu = per_type.get(v, {}).get(u)
-            if s_vu is None:
-                continue
+    for (u, v), (s_uv, s_vu) in a.mutual[surety_type].items():
+        if u in vertices and v in vertices:
             key = _ordered(u, v)
-            if key not in edges:
-                first, second = (s_uv, s_vu) if key == (u, v) else (s_vu, s_uv)
-                edges[key] = (first, second)
+            edges[key] = (s_uv, s_vu) if key == (u, v) else (s_vu, s_uv)
     return SuretyGraph(
         surety_type=surety_type,
         prefix_k=k,

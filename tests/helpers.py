@@ -263,6 +263,23 @@ def random_scenario(seed: int, n_events: int | None = None, with_resets: bool = 
     return sc
 
 
+def fold_facts(a) -> tuple:
+    """The seq-stamped fact families of a registry fold, as plain values."""
+    return (
+        dict(a.intro),
+        dict(a.introduced_at),
+        a.duplicates,
+        dict(a.update_valid),
+        dict(a.consumed),
+        dict(a.nullified_at),
+        {t: {u: dict(to) for u, to in per_type.items()} for t, per_type in a.pledges.items()},
+        {t: dict(pairs) for t, pairs in a.mutual.items()},
+        dict(a.resets),  # (seq, neighbors, needed, effective_at if < k) per record
+        dict(a.children),
+        dict(a.referenced_old),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles: direct, non-incremental re-derivations
 # ---------------------------------------------------------------------------
@@ -410,3 +427,28 @@ def bf_classify(
     sybils = set(intro) - genuine
     corrupt = {registry.actor_of(intro[root_of(v)]) for v in sybils}
     return genuine, sybils, corrupt
+
+
+def bf_community_at(events: list[SignedEvent], k: int) -> frozenset[PublicIdentifier]:
+    """The community after the first ``k`` events, replayed from scratch.
+
+    An add counts only for an identifier some earlier event introduced (a
+    declaration, the new side of an update, or a reset); a remove of a
+    non-member changes nothing.
+    """
+    introduced: set[PublicIdentifier] = set()
+    members: set[PublicIdentifier] = set()
+    for ev in events[:k]:
+        b = ev.body
+        if isinstance(b, CommunityAdd):
+            if b.v in introduced:
+                members.add(b.v)
+        elif isinstance(b, CommunityRemove):
+            members.discard(b.v)
+        elif isinstance(b, Declare):
+            introduced.add(b.v)
+        elif isinstance(b, Update):
+            introduced.add(b.new_v)
+        elif isinstance(b, Reset):
+            introduced.add(b.old_v)
+    return frozenset(members)

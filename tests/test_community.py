@@ -1,10 +1,12 @@
 """Community replay, penetration and the growth-guarantee checker."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from gpi.community import (
+    _CHECKPOINT_EVERY,
     EmptyCommunity,
     Theorem2Params,
     byzantine_vertices,
@@ -15,8 +17,12 @@ from gpi.community import (
     theorem2_check,
     theorem2_union_check,
 )
+from gpi.ledger import Ledger
 from gpi.metrics import Graph
 from gpi.oracle import classify
+from gpi.sim import SimConfig, run_agent_sim
+
+from helpers import bf_community_at
 
 def star_graph() -> Graph:
     return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -62,6 +68,49 @@ class TestHistory:
         history = history_from_ledger(scenario.ledger)
         for before, after in zip(history.snapshots, history.snapshots[1:]):
             assert len(before.symmetric_difference(after)) <= 1
+
+    def test_empty_ledger(self):
+        history = history_from_ledger(Ledger())
+        assert len(history.snapshots) == 1
+        assert history.snapshots[0] == history.snapshots[-1] == history.final == frozenset()
+        assert list(history.snapshots) == [frozenset()]
+        assert history.snapshots[1:] == ()
+        with pytest.raises(IndexError):
+            history.snapshots[1]
+        with pytest.raises(IndexError):
+            history.snapshots[-2]
+
+    def test_length_an_exact_multiple_of_the_checkpoint_spacing(self, scenario):
+        scenario.declare("a", "h1")
+        scenario.declare("b", "h2")
+        names = "ab"
+        while len(scenario.ledger) < _CHECKPOINT_EVERY:
+            i = len(scenario.ledger)
+            if i % 3 == 2:
+                scenario.community_remove(names[i % 2])
+            else:
+                scenario.community_add(names[i % 2])
+        events = list(scenario.ledger)
+        assert len(events) == _CHECKPOINT_EVERY
+        history = history_from_ledger(scenario.ledger)
+        assert len(history.snapshots) == _CHECKPOINT_EVERY + 1
+        for k in range(len(events) + 1):
+            assert history.snapshots[k] == bf_community_at(events, k), k
+        assert history.snapshots[-1] == history.final == bf_community_at(events, len(events))
+
+    def test_memory_stays_linear_in_events(self):
+        # one frozenset per event (4,597 events, 704 final members) peaks at
+        # about 30 MiB; changes plus checkpoints stay well under 4 MiB
+        config = SimConfig(n0=100, p=0.5, k=4, sybil_rate=0.4, steps=1000, burn_in=100, seed=5)
+        ledger = run_agent_sim(config, emit_ledger=True).ledger
+        tracemalloc.start()
+        try:
+            history_from_ledger(ledger)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ledger) == 4597
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestPenetration:

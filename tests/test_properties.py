@@ -22,9 +22,18 @@ from gpi.ledger import (
     serialize_log,
     verify_event,
 )
-from gpi.registry import analyze, is_valid_update, provenance_chains
+from gpi.community import _CHECKPOINT_EVERY, history_from_ledger
+from gpi.registry import (
+    analyze,
+    current_identifiers,
+    is_valid_update,
+    provenance_chains,
+    reset_status,
+)
+from gpi.sim import SimConfig, run_agent_sim
+from gpi.surety import graph_at
 
-from helpers import bf_update_valid, random_scenario
+from helpers import Scenario, bf_community_at, bf_update_valid, fold_facts, random_scenario
 
 KEYS = [generate_keypair("mock", bytes([i])) for i in range(8)]
 
@@ -174,8 +183,6 @@ class TestChainInvariants:
     @given(st.integers(0, 3000))
     @settings(max_examples=60, deadline=None)
     def test_currents_never_resurrect(self, seed):
-        from gpi.registry import current_identifiers
-
         sc = random_scenario(seed)
         gone = set()
         previous = frozenset()
@@ -186,3 +193,91 @@ class TestChainInvariants:
             assert not (now & gone)
             gone |= superseded_or_null
             previous = now
+
+
+class TestPrefixFold:
+    """A prefix read through its backing's cached fold answers like a fresh fold."""
+
+    @given(st.integers(0, 10**6), st.sampled_from([None, 120]))
+    @settings(max_examples=20, deadline=None)
+    def test_cached_prefix_equals_fresh_fold(self, seed, n_events):
+        ledger = random_scenario(seed, n_events).ledger
+        analyze(ledger)  # the shared fold now covers every event
+        mentioned = {getattr(ev.body, attr) for ev in ledger for attr in vars(ev.body)
+                     if attr != "surety_type"}
+        for k in range(len(ledger) + 1):
+            cached, fresh = ledger.prefix(k), Ledger(ledger.events[:k])
+            assert fold_facts(analyze(cached)) == fold_facts(analyze(fresh)), k
+            for t in (1, 2, 3, 4):
+                assert graph_at(ledger, k, t) == graph_at(fresh, k, t), (k, t)
+            for ev in fresh:
+                if isinstance(ev.body, Update):
+                    assert is_valid_update(cached, ev.seq) == is_valid_update(fresh, ev.seq)
+            for v in mentioned:
+                assert reset_status(cached, v) == reset_status(fresh, v), k
+            assert current_identifiers(cached) == current_identifiers(fresh), k
+            assert provenance_chains(cached) == provenance_chains(fresh), k
+
+
+NAMES = "abcdef"
+
+
+@st.composite
+def community_scenarios(draw) -> Scenario:
+    """Declarations, updates and resets among a few identifiers, interleaved
+    with adds of undeclared identifiers, re-adds and removes of absent ones."""
+    sc = Scenario()
+    sc.use_admin()
+    ops = draw(st.lists(st.tuples(st.sampled_from(["declare", "update", "reset", "add", "remove"]),
+                                  st.integers(0, len(NAMES) - 1), st.integers(0, len(NAMES) - 1)),
+                        max_size=40))
+    for op, i, j in ops:
+        name, other = NAMES[i], NAMES[j]
+        if op == "declare":
+            sc.declare(name, "h")
+        elif op == "update" and i != j:
+            sc.update(name, other, "h")
+        elif op == "reset":
+            sc.reset(name, "h")
+        elif op == "add":
+            sc.community_add(name)
+        elif op == "remove":
+            sc.community_remove(name)
+    return sc
+
+
+def check_history(ledger: Ledger, data) -> None:
+    """Every form of access to ``snapshots`` against the brute-force replay."""
+    events = list(ledger)
+    expected = [bf_community_at(events, k) for k in range(len(events) + 1)]
+    history = history_from_ledger(ledger)
+    snapshots = history.snapshots
+    assert len(snapshots) == len(expected)
+    for k, members in enumerate(expected):
+        got = snapshots[k]
+        assert type(got) is frozenset and got == members, k
+    assert list(snapshots) == expected
+    assert snapshots[-1] == history.final == expected[-1]
+    if len(expected) > 1:
+        assert snapshots[-2] == expected[-2]
+    start = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
+    stop = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
+    step = data.draw(st.sampled_from([1, 2, 3, -1, -5, _CHECKPOINT_EVERY]))
+    assert snapshots[start:stop:step] == tuple(expected[start:stop:step])
+
+
+class TestHistoryReplay:
+    """``history_from_ledger(L).snapshots[k]`` is the community after k events."""
+
+    @given(community_scenarios(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_scenario_histories(self, sc, data):
+        check_history(sc.ledger, data)
+
+    @given(st.integers(0, 2**16), st.integers(520, 640), st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_simulated_histories_across_checkpoints(self, seed, steps, data):
+        config = SimConfig(n0=30, p=0.5, k=4, sybil_rate=0.4, steps=steps, burn_in=50, seed=seed)
+        ledger = run_agent_sim(config, emit_ledger=True).ledger
+        assert len(ledger) > 2 * _CHECKPOINT_EVERY  # the replay spans several checkpoints
+        check_history(ledger, data)

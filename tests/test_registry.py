@@ -2,6 +2,11 @@
 
 import pytest
 
+from gpi import registry
+from gpi.community import history_from_ledger
+from gpi.keys import generate_keypair
+from gpi.ledger import Declare, Ledger, append_event
+from gpi.oracle import classify, surety_violations
 from gpi.registry import (
     CURRENT,
     NEVER_DECLARED,
@@ -9,6 +14,7 @@ from gpi.registry import (
     RESET_PENDING,
     SUPERSEDED,
     NotAnUpdate,
+    analyze,
     current_identifiers,
     duplicate_declarations,
     first_declaration,
@@ -16,8 +22,10 @@ from gpi.registry import (
     provenance_chains,
     reset_status,
 )
+from gpi.sim import SimConfig, run_agent_sim
+from gpi.surety import graph_at
 
-from helpers import Scenario
+from helpers import Scenario, fold_facts
 
 
 class TestFirstDeclaration:
@@ -209,3 +217,91 @@ class TestPrefixMonotonicity:
         assert is_valid_update(ledger.prefix(2), 1)
         for k in range(2, len(ledger) + 1):
             assert is_valid_update(ledger.prefix(k), 1)
+
+
+class TestFoldCache:
+    """One registry fold per backing and quorum, shared read-only."""
+
+    def _pending_reset(self, sc: Scenario) -> None:
+        sc.declare("v", "h")
+        sc.declare("w", "g")
+        sc.mutual_pledge(2, "v", "w", "h", "g")
+        sc.update("v2", "v", "h")
+        sc.update("v3", "v", "h")  # invalid: v is already consumed
+        sc.reset("w", "g")  # needs v's endorsement
+
+    def test_a_caller_cannot_change_the_cached_fold(self, scenario):
+        self._pending_reset(scenario)
+        v, w = scenario.ident("v"), scenario.ident("w")
+        a = analyze(scenario.ledger)
+        before = fold_facts(a)
+        with pytest.raises(TypeError):
+            a.intro[v] = 99
+        with pytest.raises(TypeError):
+            a.pledges[2][v][w] = 99
+        with pytest.raises(TypeError):
+            a.pledges[2] = {}
+        with pytest.raises(AttributeError):
+            a.children[v].append(99)
+        with pytest.raises(AttributeError):
+            a.resets[w][0].neighbors.add(v)
+        with pytest.raises(AttributeError):
+            a.resets[w][0].effective_at = 0
+        with pytest.raises(AttributeError):
+            a.duplicates.append(0)
+        a.nullified_at = {w: 0}  # rebinds this view's attribute only
+        assert fold_facts(analyze(scenario.ledger)) == before
+        assert reset_status(scenario.ledger, w).state == RESET_PENDING
+
+    def test_an_earlier_view_keeps_its_length(self, scenario):
+        self._pending_reset(scenario)
+        a = analyze(scenario.ledger)
+        before = fold_facts(a)
+        scenario.endorse("w", "v", "h")  # makes the reset effective
+        scenario.declare("late", "z")
+        assert analyze(scenario.ledger).nullified_at == {scenario.ident("w"): 7}
+        assert fold_facts(a) == before
+
+    def test_a_value_appended_from_a_non_tip_never_sees_the_tip(self, scenario):
+        scenario.declare("a", "ha")
+        scenario.declare("b", "hb")
+        scenario.update("b2", "b", "hb")
+        tip = scenario.ledger
+        analyze(tip)  # the tip's fold covers all three events
+        c = generate_keypair("mock", b"c")
+        branch = append_event(tip.prefix(1), Declare(c.public), c)
+        assert first_declaration(branch, scenario.ident("b")) is None
+        assert first_declaration(branch, scenario.ident("b2")) is None
+        assert first_declaration(branch, c.public) == 1
+        assert dict(analyze(branch).introduced_at) == {0: scenario.ident("a"), 1: c.public}
+        assert first_declaration(tip, c.public) is None
+        assert first_declaration(tip, scenario.ident("b")) == 1
+
+    def test_one_fold_pass_per_backing(self, monkeypatch):
+        result = run_agent_sim(
+            SimConfig(n0=20, p=0.5, k=3, sybil_rate=0.5, steps=300, burn_in=30, seed=3),
+            emit_ledger=True,
+        )
+        ledger = Ledger(result.ledger.events, result.ledger.admins)  # a backing nobody folded
+        built, folded = [], []
+        init, advance = registry._Fold.__init__, registry._Fold.advance
+
+        def counting_init(self, quorum):
+            built.append(quorum)
+            init(self, quorum)
+
+        def counting_advance(self, ledger, k):
+            folded.append((self.length, k))
+            advance(self, ledger, k)
+
+        monkeypatch.setattr(registry._Fold, "__init__", counting_init)
+        monkeypatch.setattr(registry._Fold, "advance", counting_advance)
+        n = len(ledger)
+        for k in (n // 2, n // 4, n, 3 * n // 4) + tuple(range(1, n, n // 16))[:16]:
+            graph_at(ledger, k, 3)
+        provenance_chains(ledger)
+        classify(ledger, result.registry)
+        surety_violations(ledger, result.registry, 3)
+        history_from_ledger(ledger.prefix(n))
+        assert len(built) == 1
+        assert sorted(folded) == [(0, n // 2), (n // 2, n)]

@@ -28,6 +28,16 @@ lineages so far are nullified, decides every fresh declaration.
 
 An identifier is byzantine if it is a sybil or the genuine identifier of
 a corrupt agent; the rest are harmless.
+
+Cost: that pass reads the cached registry fold (``registry.analyze``) and
+is O(identifiers).  Its result is cached per ledger backing and quorum,
+for one ledger length at a time, and is reused while the registry names
+the same actor for every introduced seq, the only registry fact the pass
+reads.  So ``classify``, ``surety_violations`` and ``pledge_violation``
+on one ledger value share one pass; each later call pays an
+O(identifiers) actor comparison plus its own work.  A call on another
+length (a prefix, or the same backing after an append) or after an actor
+edit walks again and replaces the cached pass.
 """
 
 from __future__ import annotations
@@ -136,6 +146,30 @@ class _OracleState:
 
 
 def _trace(ledger: Ledger, registry: AgentRegistry, quorum: Fraction | float) -> _OracleState:
+    """The oracle pass over ``ledger``, cached in one slot per backing and quorum.
+
+    The slot holds ``(length, intro seqs, their actors, state)``.  ``_walk``
+    reads nothing from the registry except ``actor_of(seq)`` for introduced
+    seqs, so the state is reused exactly when the length and those actors
+    are unchanged; a missing actor or any edit walks again, which raises
+    ``MissingActor`` or answers for the edited registry.
+    """
+    q = Fraction(quorum)
+    slot = ledger.derived(("oracle", q.numerator, q.denominator), lambda: [None])
+    if slot[0] is not None and slot[0][0] == len(ledger):
+        _, seqs, actors, state = slot[0]
+        try:
+            if tuple(map(registry.actor.__getitem__, seqs)) == actors:
+                return state
+        except KeyError:
+            pass
+    state = _walk(ledger, registry, q)
+    seqs = tuple(state.analysis.introduced_at)
+    slot[0] = (len(ledger), seqs, tuple(map(registry.actor.__getitem__, seqs)), state)
+    return state
+
+
+def _walk(ledger: Ledger, registry: AgentRegistry, quorum: Fraction) -> _OracleState:
     a = analyze(ledger, quorum)
     sybils: set[PublicIdentifier] = set()
     corrupt: set[str] = set()
@@ -166,7 +200,11 @@ def classify(
     registry: AgentRegistry,
     quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
 ) -> ClassificationReport:
-    """Split declared identifiers into genuine/sybil and derive agent status."""
+    """Split declared identifiers into genuine/sybil and derive agent status.
+
+    Runs the cached oracle pass (see the module docstring) and then costs
+    O(identifiers + agents).
+    """
     state = _trace(ledger, registry, quorum_fraction)
     declared = frozenset(state.declarer)
     genuine = declared - state.sybils
@@ -232,7 +270,11 @@ def surety_violations(
     surety_type: int,
     quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
 ) -> frozenset[tuple[int, str]]:
-    """Violated pledge events of the given type, with the reason for each."""
+    """Violated pledge events of the given type, with the reason for each.
+
+    Runs the cached oracle pass (see the module docstring) and then scans
+    the ledger once: O(events).
+    """
     if surety_type not in (1, 2, 3, 4):
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
     state = _trace(ledger, registry, quorum_fraction)
@@ -255,8 +297,12 @@ def pledge_violation(
     """Evaluate one pledge event under any cumulative criterion.
 
     Lets tests check that the criteria really nest: a pledge violated at
-    type t is violated at every type above t.
+    type t is violated at every type above t.  Once the cached oracle pass
+    (see the module docstring) exists for this ledger value, a call costs
+    the O(identifiers) actor comparison and O(1) lookups.
     """
+    if as_type not in (1, 2, 3, 4):
+        raise ValueError(f"surety type must be 1..4, got {as_type}")
     event = ledger[seq]
     if not isinstance(event.body, Pledge):
         raise ValueError(f"event {seq} is not a pledge")

@@ -502,10 +502,6 @@ def capped_admission_sim(
     return CappedAdmissionResult(series, float(series.mean()))
 
 
-# observation2_sim is the interface name used by the CLI contract
-observation2_sim = capped_admission_sim
-
-
 # ---------------------------------------------------------------------------
 # Expander backbone experiment
 # ---------------------------------------------------------------------------
@@ -700,7 +696,3 @@ def expander_bound_experiment(
         max_sigma=max_sigma,
         ok=max_sigma <= bound,
     )
-
-
-# corollary1_experiment is the interface name used by the CLI contract
-corollary1_experiment = expander_bound_experiment

@@ -1,9 +1,15 @@
 """Ground-truth classification and surety violation detection."""
 
-import pytest
+from fractions import Fraction
 
-from gpi.ledger import Update
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpi import oracle
+from gpi.ledger import Ledger, Pledge, Update
 from gpi.oracle import MissingActor, classify, pledge_violation, surety_violations
+from gpi.registry import DEFAULT_RESET_QUORUM
 
 from helpers import Scenario, bf_classify, bf_intro_events, bf_update_valid, random_scenario
 
@@ -191,9 +197,17 @@ class TestViolations:
         scenario.update("vp2", "vp", "hp")
         assert pledge_violation(scenario.ledger, scenario.registry, seq, 4) is None
 
-    def test_cumulative_monotonicity_on_random_logs(self):
-        from gpi.ledger import Pledge
+    def test_pledge_violation_rejects_a_type_outside_1_to_4(self, scenario):
+        scenario.declare("a", "ha")
+        scenario.declare("b", "hb")
+        seq = scenario.pledge(1, "a", "b", "ha")
+        for bad in (0, 5, -1):
+            with pytest.raises(ValueError, match=f"surety type must be 1..4, got {bad}"):
+                pledge_violation(scenario.ledger, scenario.registry, seq, bad)
+            with pytest.raises(ValueError, match=f"surety type must be 1..4, got {bad}"):
+                surety_violations(scenario.ledger, scenario.registry, bad)
 
+    def test_cumulative_monotonicity_on_random_logs(self):
         for seed in range(150):
             sc = random_scenario(seed)
             for ev in sc.ledger:
@@ -226,7 +240,6 @@ class TestObservationOne:
     def test_all_or_nothing_across_qualifying_chain_pairs(self):
         from itertools import combinations
 
-        from gpi.ledger import Pledge
         from gpi.oracle import chain_has_single_actor
         from gpi.registry import provenance_chains
 
@@ -260,3 +273,106 @@ class TestObservationOne:
                 if outcomes:
                     checked += 1
         assert checked > 50  # the fuzzer must actually exercise cross-chain pledges
+
+
+def _answers(ledger: Ledger, registry, quorum=DEFAULT_RESET_QUORUM) -> tuple:
+    """``classify``, every ``surety_violations`` type and every pledge's
+    ``pledge_violation`` at each type, on one ledger value."""
+    pledges = [ev.seq for ev in ledger if isinstance(ev.body, Pledge)]
+    return (
+        classify(ledger, registry, quorum),
+        [surety_violations(ledger, registry, t, quorum) for t in (1, 2, 3, 4)],
+        [pledge_violation(ledger, registry, s, t, quorum) for s in pledges for t in (1, 2, 3, 4)],
+    )
+
+
+class TestTraceCache:
+    """One oracle walk per ledger value, walked again whenever it could differ."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch) -> list[int]:
+        lengths: list[int] = []
+        walk = oracle._walk
+
+        def counting_walk(ledger, registry, quorum):
+            lengths.append(len(ledger))
+            return walk(ledger, registry, quorum)
+
+        monkeypatch.setattr(oracle, "_walk", counting_walk)
+        return lengths
+
+    def test_one_walk_per_ledger_value(self, walks):
+        sc = random_scenario(7, 120)
+        ledger = Ledger(sc.ledger.events)  # a backing nobody traced
+        assert any(isinstance(ev.body, Pledge) for ev in ledger)
+        assert _answers(ledger, sc.registry) == _answers(ledger, sc.registry)
+        assert walks == [len(ledger)]
+
+    def test_an_actor_rewrite_walks_again(self, scenario, walks):
+        scenario.declare("v", "h")
+        scenario.declare("w", "h2")
+        assert classify(scenario.ledger, scenario.registry).sybils == frozenset()
+        scenario.registry.actor[1] = "h"  # w becomes h's second fresh declaration
+        report = classify(scenario.ledger, scenario.registry)
+        assert (report.genuine, report.sybils, report.corrupt_agents) == bf_classify(
+            list(scenario.ledger), scenario.registry
+        )
+        assert report.sybils == {scenario.ident("w")}
+        assert walks == [2, 2]
+
+    def test_a_deleted_actor_still_raises(self, scenario):
+        scenario.declare("v", "h")
+        scenario.declare("w", "h2")
+        seq = scenario.pledge(3, "v", "w", "h")
+        ledger, registry = scenario.ledger, scenario.registry
+        _answers(ledger, registry)
+        del registry.actor[0]
+        for call in (
+            lambda: classify(ledger, registry),
+            lambda: surety_violations(ledger, registry, 3),
+            lambda: pledge_violation(ledger, registry, seq, 3),
+        ):
+            with pytest.raises(MissingActor):
+                call()
+
+    def test_prefixes_and_quorums_never_share_a_walk(self, scenario):
+        # h resets v with four mutual neighbours, two of which endorse: the
+        # reset is effective under quorum 1/2 (needs 2) but not 2/3 (needs 3),
+        # so h's later declaration w is a sybil under 2/3 only.
+        scenario.declare("v", "h")
+        for i in range(4):
+            scenario.declare(f"n{i}", f"h{i}")
+            scenario.mutual_pledge(2, "v", f"n{i}", "h", f"h{i}")
+        scenario.reset("v", "h")
+        scenario.endorse("v", "n0", "h0")
+        scenario.endorse("v", "n1", "h1")
+        scenario.declare("w", "h")
+        ledger, registry = scenario.ledger, scenario.registry
+        w = {scenario.ident("w")}
+        half = Fraction(1, 2)
+        before_w = ledger.prefix(len(ledger) - 1)
+        cases = [
+            (ledger, DEFAULT_RESET_QUORUM, w),
+            (before_w, DEFAULT_RESET_QUORUM, set()),
+            (ledger, half, set()),
+            (ledger.prefix(1), half, set()),
+        ]
+        for value, quorum, sybils in cases + cases[::-1] + cases[::2] + cases[1::2]:
+            assert classify(value, registry, quorum).sybils == sybils
+            assert _answers(value, registry, quorum) == _answers(Ledger(value.events), registry, quorum)
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cached_answers_equal_a_fresh_walk(self, seed, data):
+        sc = random_scenario(seed)
+        ledger, registry = sc.ledger, sc.registry
+        agents = sorted(registry.agents) + ["newcomer"]
+        for _ in range(data.draw(st.integers(1, 8))):
+            k = data.draw(st.integers(0, len(ledger)))
+            quorum = data.draw(st.sampled_from([DEFAULT_RESET_QUORUM, Fraction(1, 2)]))
+            fresh = Ledger(ledger.events[:k])
+            for _ in range(2):  # the second query reads the cache unless an actor changed
+                assert _answers(ledger.prefix(k), registry, quorum) == _answers(fresh, registry, quorum)
+                if data.draw(st.booleans()):
+                    s = data.draw(st.sampled_from(sorted(registry.actor)))
+                    registry.actor[s] = data.draw(st.sampled_from(agents))

@@ -181,11 +181,8 @@ class TestCappedAdmission:
         stderr = series.mean(axis=0).std() / math.sqrt(30)
         assert series.mean() <= 0.1 + 3 * max(stderr, series.std() / math.sqrt(series.size))
 
-    def test_is_observation2_interface(self):
-        from gpi.sim import observation2_sim
-
-        assert observation2_sim is capped_admission_sim
-        assert isinstance(observation2_sim(0.2, 10, seed=0), CappedAdmissionResult)
+    def test_returns_a_capped_admission_result(self):
+        assert isinstance(capped_admission_sim(0.2, 10, seed=0), CappedAdmissionResult)
 
 
 class TestPlacement:

@@ -14,14 +14,14 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 
-# stream ids, one per consumer
+# stream ids, one per consumer; 5 and 7 are retired (the expander
+# experiment's own process and its component placement) and must not be
+# reused, so that no new consumer replays their old draws
 GRAPH_GEN = 1
 MARKOV_CHAIN = 2
 AGENT_SIM = 3
 CAPPED_ADMISSION = 4
-EXPANDER_SIM = 5
 LEMMA_INSTANCES = 6
-PLACEMENT = 7
 LANCZOS_START = 8
 
 

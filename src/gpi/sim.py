@@ -12,17 +12,20 @@ Three layers, each validating a different quantitative claim:
   the moment-matched component size while the plain mean sits below it
   (the stationary law is roughly half-normal).  Results expose both.
 
-* ``run_agent_sim`` — the full agent-based model: candidates obtain one
-  type-3 surety edge to a member and join; sybils land in one of at most
-  k components uniformly; each admission is followed by one uniform
-  member inspection which, on detecting a sybil (probability p), expels
-  that sybil's entire connected component.  Optionally emits a replayable
-  signed event ledger plus the matching ground-truth registry.
+* ``run_agent_sim`` — the full agent-based model, and the one place the
+  sybil-component process is written: candidates obtain one type-3 surety
+  edge to a member and join; sybils land in one of at most k components
+  uniformly; each admission is followed by one uniform member inspection
+  which, on detecting a sybil (probability p), expels that sybil's entire
+  connected component.  Optionally emits a replayable signed event ledger
+  plus the matching ground-truth registry.
 
 * ``capped_admission_sim`` / ``expander_bound_experiment`` — admission
   streams with a per-candidate sybil probability cap, and the fixed
   expander-backbone experiment bounding time-averaged penetration by
-  sqrt(lambda/p).
+  sqrt(lambda/p).  The backbone enters the process only through
+  k = floor(lambda*n), so the experiment runs ``run_agent_sim`` with an
+  all-sybil candidate stream.
 
 All randomness is drawn from counter-based streams keyed by (seed,
 purpose, block), a fixed number of draws per round, so every trajectory
@@ -47,17 +50,9 @@ from .ledger import (
     Pledge,
     append_event,
 )
-from .metrics import Graph, generate_regular_expander, greedy_independent_set
+from .metrics import generate_regular_expander, greedy_independent_set
 from .oracle import AgentRegistry
-from .rng import (
-    AGENT_SIM,
-    CAPPED_ADMISSION,
-    EXPANDER_SIM,
-    MARKOV_CHAIN,
-    PLACEMENT,
-    stream,
-    substream,
-)
+from .rng import AGENT_SIM, CAPPED_ADMISSION, MARKOV_CHAIN, stream, substream
 
 _BLOCK = 1 << 15
 
@@ -176,44 +171,24 @@ def run_markov_component(
     if not 0 <= burn_in < steps:
         raise ConfigError("burn_in must satisfy 0 <= burn_in < steps")
     steady_state_root(n, p, k)  # parameter validation
+    xs = np.empty(steps, dtype=np.int64)
     x = 0
-    total = 0.0
-    total_sq = 0.0
-    kept = steps - burn_in
-    batch_count = min(100, kept)
-    batch_len = kept // batch_count if batch_count else kept
-    batch_sums: list[float] = []
-    batch_acc = 0.0
-    batch_n = 0
     grow_base = 1.0 / k
     pn = p / n
-    i_global = 0
     for block_idx in range(-(-steps // _BLOCK)):
-        u = substream(seed, MARKOV_CHAIN, block_idx).random(min(_BLOCK, steps - block_idx * _BLOCK))
-        for ui in u:
+        start = block_idx * _BLOCK
+        u = substream(seed, MARKOV_CHAIN, block_idx).random(min(_BLOCK, steps - start))
+        for i, ui in enumerate(u.tolist(), start):
             q = pn * x
             if ui < q:
                 x = 0
             elif ui < q + (1.0 - q) * grow_base:
                 x += 1
-            if i_global >= burn_in:
-                total += x
-                total_sq += x * x
-                if batch_count >= 2 and len(batch_sums) < batch_count:
-                    batch_acc += x
-                    batch_n += 1
-                    if batch_n == batch_len:
-                        batch_sums.append(batch_acc / batch_len)
-                        batch_acc = 0.0
-                        batch_n = 0
-            i_global += 1
-    mean = total / kept
-    if len(batch_sums) >= 2:
-        arr = np.array(batch_sums)
-        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-    else:
-        stderr = math.nan
-    return MarkovChainResult(mean, stderr, total_sq / kept, steps, burn_in)
+            xs[i] = x
+    kept = xs[burn_in:]
+    # integer sums below 2**53 are exact in float64, whatever their order
+    mean, stderr = _mean_with_error(kept)
+    return MarkovChainResult(mean, stderr, float(kept @ kept) / len(kept), steps, burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +275,12 @@ class _Emitter:
         self._record(CommunityRemove(self.key_for(ident).public), self.admin, "admin")
 
 
-def run_agent_sim(
-    config: SimConfig,
-    emit_ledger: bool = False,
-    verify_components: bool = False,
-) -> SimResult:
+def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
     """Full agent-based run of the admission/detection/expulsion model.
 
     Each round admits one candidate (sybil with probability ``sybil_rate``)
     through a fresh type-3 surety edge, then inspects one uniform member;
     a detected sybil takes its whole connected component down with it.
-    ``verify_components`` cross-checks every expulsion against a BFS over
-    the recorded sybil edges (slow; meant for small property-test runs).
     """
     k = config.k
     members: list[int] = list(range(config.n0))
@@ -324,9 +293,9 @@ def run_agent_sim(
     next_id = config.n0
     sybil_count = 0
 
-    track_edges = emit_ledger or verify_components or config.adversary == "greedy_independent_set"
+    # only the greedy adversary's founding-target search reads the edges
+    track_edges = config.adversary == "greedy_independent_set"
     neighbors: dict[int, set[int]] = {ident: set() for ident in members} if track_edges else {}
-    sybil_adj: dict[int, set[int]] = {} if verify_components else {}
 
     emitter = _Emitter(config.seed) if emit_ledger else None
     if emitter is not None:
@@ -348,14 +317,6 @@ def run_agent_sim(
             members[idx] = last
             pos[last] = idx
 
-    def attach(a: int, b: int) -> None:
-        if track_edges:
-            neighbors.setdefault(a, set()).add(b)
-            neighbors.setdefault(b, set()).add(a)
-        if verify_components and is_sybil.get(a) and is_sybil.get(b):
-            sybil_adj.setdefault(a, set()).add(b)
-            sybil_adj.setdefault(b, set()).add(a)
-
     def pick_founding_target(u: float) -> int:
         # uniform honest member; the greedy adversary retries a few times
         # for one not adjacent to an existing anchor (independent-set demo)
@@ -376,7 +337,8 @@ def run_agent_sim(
     for block_idx in range(-(-steps // _BLOCK)):
         rows = min(_BLOCK, steps - block_idx * _BLOCK)
         draws = substream(config.seed, AGENT_SIM, block_idx).random((rows, 5))
-        for u_type, u_slot, u_member, u_inspect, u_detect in draws:
+        for draw in draws:
+            u_type, u_slot, u_member, u_inspect, u_detect = draw.tolist()
             cand = next_id
             next_id += 1
             if u_type < config.sybil_rate:
@@ -399,7 +361,9 @@ def run_agent_sim(
                 honest_members.append(cand)
             pos[cand] = len(members)
             members.append(cand)
-            attach(target, cand)
+            if track_edges:
+                neighbors.setdefault(target, set()).add(cand)
+                neighbors.setdefault(cand, set()).add(target)
             if emitter is not None:
                 emitter.admit(cand, is_sybil[cand], target, is_sybil[target])
 
@@ -407,19 +371,6 @@ def run_agent_sim(
             if is_sybil[inspected] and u_detect < config.p:
                 ci = comp_of[inspected]
                 comp = components[ci]
-                if verify_components:
-                    reached = {inspected}
-                    queue = [inspected]
-                    while queue:
-                        cur = queue.pop()
-                        for nb in sybil_adj.get(cur, ()):
-                            if nb in pos and nb not in reached:
-                                reached.add(nb)
-                                queue.append(nb)
-                    if reached != set(comp):
-                        raise AssertionError(
-                            "expelled set is not the connected sybil component"
-                        )
                 for m in comp:
                     remove_member(m)
                     sybil_count -= 1
@@ -436,15 +387,11 @@ def run_agent_sim(
                 expulsion_sizes.append(len(comp))
 
             n_members = len(members)
-            if verify_components:  # counters vs a from-scratch recount
-                recount = sum(1 for m in members if is_sybil[m])
-                if recount != sybil_count:
-                    raise AssertionError("incremental sybil count drifted")
             sigma[row] = sybil_count / n_members
             size_series[row] = n_members
             sybil_series[row] = sybil_count
             comp_count[row] = len(components)
-            max_comp[row] = max((len(c) for c in components), default=0)
+            max_comp[row] = max(map(len, components), default=0)
             row += 1
 
     tail = slice(config.burn_in, None)
@@ -507,32 +454,6 @@ def capped_admission_sim(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Placement:
-    vertices: tuple[int, ...]
-    fallback: bool
-
-
-def adversary_place_components(
-    graph: Graph, k: int, strategy: Strategy, seed: int = 0
-) -> Placement:
-    """k distinct attachment points; greedy mode prefers an independent set."""
-    if k > graph.n:
-        raise ValueError(f"cannot place {k} components on {graph.n} vertices")
-    if strategy == "greedy_independent_set":
-        independent = sorted(greedy_independent_set(graph))
-        if len(independent) >= k:
-            return Placement(tuple(independent[:k]), False)
-        rng = stream(seed, PLACEMENT)
-        picked = sorted(int(v) for v in rng.choice(graph.n, size=k, replace=False))
-        return Placement(tuple(picked), True)
-    if strategy == "uniform":
-        rng = stream(seed, PLACEMENT)
-        picked = sorted(int(v) for v in rng.choice(graph.n, size=k, replace=False))
-        return Placement(tuple(picked), False)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-@dataclass(frozen=True)
 class ExpanderFamily:
     n: int
     d: int
@@ -540,6 +461,16 @@ class ExpanderFamily:
 
 @dataclass(frozen=True)
 class ExpanderSeedOutcome:
+    """One backbone seed of ``expander_bound_experiment``.
+
+    ``placement_fallback`` is True when the backbone's greedy independent
+    set has fewer than k vertices, i.e. k components could not all hang off
+    pairwise non-adjacent members.  No attachment point enters the process,
+    so the flag is descriptive only.  It stays because ``perfbench`` reports
+    it as ``sim.placement_fallbacks``; it goes once that metric is dropped
+    (ROADMAP item 4).
+    """
+
     seed: int
     lam: float
     k: int
@@ -593,61 +524,17 @@ def _expander_single(
         raise ExpanderViolation(
             f"seed {seed}: measured lambda {lam:.4f} exceeds target {lambda_target}"
         )
-    n = family.n
-    k = int(lam * n)
-    placement = (
-        adversary_place_components(sample.graph, k, "greedy_independent_set", seed)
-        if k > 0
-        else Placement((), False)
+    # trace(P^2) = n/d gives lambda^2 >= (n-d)/(d(n-1)) >= 1/n^2, so k >= 1
+    k = int(lam * family.n)
+    result = run_agent_sim(
+        SimConfig(n0=family.n, p=p, k=k, sybil_rate=1.0, steps=rounds, burn_in=burn_in, seed=seed)
     )
-    members: list[int] = list(range(n))  # honest backbone, fixed
-    pos = {i: i for i in members}
-    slots: list[list[int]] = [[] for _ in range(k)]
-    comp_of: dict[int, int] = {}
-    next_id = n
-    sybil_count = 0
-    sigma = np.empty(rounds)
-
-    def remove_member(ident: int) -> None:
-        idx = pos.pop(ident)
-        last = members.pop()
-        if last != ident:
-            members[idx] = last
-            pos[last] = idx
-
-    row = 0
-    for block_idx in range(-(-rounds // _BLOCK)):
-        rows = min(_BLOCK, rounds - block_idx * _BLOCK)
-        draws = substream(seed, EXPANDER_SIM, block_idx).random((rows, 4))
-        for u_slot, u_member, u_inspect, u_detect in draws:
-            if k > 0:
-                slot = min(int(u_slot * k), k - 1)
-                comp = slots[slot]
-                # joining an existing component or re-founding it at its anchor
-                comp.append(next_id)
-                comp_of[next_id] = slot
-                pos[next_id] = len(members)
-                members.append(next_id)
-                sybil_count += 1
-                next_id += 1
-
-                inspected = members[min(int(u_inspect * len(members)), len(members) - 1)]
-                if inspected >= n and u_detect < p:
-                    ci = comp_of[inspected]
-                    for m in slots[ci]:
-                        remove_member(m)
-                        comp_of.pop(m, None)
-                        sybil_count -= 1
-                    slots[ci] = []
-            sigma[row] = sybil_count / len(members)
-            row += 1
-    tail = sigma[burn_in:]
     return ExpanderSeedOutcome(
         seed=seed,
         lam=lam,
         k=k,
-        time_avg_sigma=float(tail.mean()),
-        placement_fallback=placement.fallback,
+        time_avg_sigma=result.time_avg_sigma.mean,
+        placement_fallback=len(greedy_independent_set(sample.graph)) < k,
     )
 
 
@@ -668,10 +555,11 @@ def expander_bound_experiment(
 
     Every seed samples a fresh d-regular backbone; its measured lambda must
     stay at or below the target (ExpanderViolation otherwise).  The
-    adversary runs k = floor(lambda*n) components anchored on a greedy
-    independent set, the worst placement the expander admits.  Reported
-    time-averaged penetration is asserted against sqrt(lambda_target/p) by
-    callers.
+    backbone's n members are the honest community, and every candidate is
+    a sybil spread over at most k = floor(lambda*n) components: that budget
+    is all the backbone contributes (alpha(G) <= lambda*n), so each seed is
+    one ``run_agent_sim`` with ``sybil_rate = 1``.  Reported time-averaged
+    penetration is asserted against sqrt(lambda_target/p) by callers.
     """
     if not 0 < p <= 1:
         raise ConfigError("detection probability must lie in (0, 1]")

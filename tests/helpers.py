@@ -452,3 +452,113 @@ def bf_community_at(events: list[SignedEvent], k: int) -> frozenset[PublicIdenti
         elif isinstance(b, Reset):
             introduced.add(b.old_v)
     return frozenset(members)
+
+
+# ---------------------------------------------------------------------------
+# Simulation oracles
+# ---------------------------------------------------------------------------
+
+def check_expulsions(result) -> None:
+    """Replay a ``run_agent_sim(..., emit_ledger=True)`` log against the run.
+
+    Each run of consecutive ``CommunityRemove`` events must be exactly the
+    connected component of its first removed member in the mutual type-3
+    pledge graph, restricted to present members declared by the
+    ``adversary`` agent.  The run sizes must be ``expulsion_sizes`` and the
+    number of present sybils after each round must be ``sybil_series``.
+    """
+    sybil: set[PublicIdentifier] = set()
+    present: set[PublicIdentifier] = set()
+    pledged: set[tuple[PublicIdentifier, PublicIdentifier]] = set()
+    adj: dict[PublicIdentifier, set[PublicIdentifier]] = {}
+    runs: list[tuple[set[PublicIdentifier], set[PublicIdentifier]]] = []  # (expelled, component)
+    counts: list[int] = []
+    adds = 0
+    in_run = False
+
+    def component(v: PublicIdentifier) -> set[PublicIdentifier]:
+        reached = {v}
+        stack = [v]
+        while stack:
+            for u in adj.get(stack.pop(), ()):
+                if u in present and u in sybil and u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        return reached
+
+    for ev in result.ledger.events:
+        b = ev.body
+        removing = isinstance(b, CommunityRemove)
+        if removing:
+            assert b.v in present and b.v in sybil, f"seq {ev.seq} expels a non-sybil or non-member"
+            if not in_run:
+                runs.append((set(), component(b.v)))
+            runs[-1][0].add(b.v)
+            present.discard(b.v)
+        elif isinstance(b, Declare):
+            if adds > result.config.n0:  # a new round: the previous one is complete
+                counts.append(len(present & sybil))
+            if result.registry.actor_of(ev.seq) == "adversary":
+                sybil.add(b.v)
+        elif isinstance(b, Pledge) and b.surety_type == 3:
+            if (b.to_v, b.from_v) in pledged:
+                adj.setdefault(b.from_v, set()).add(b.to_v)
+                adj.setdefault(b.to_v, set()).add(b.from_v)
+            pledged.add((b.from_v, b.to_v))
+        elif isinstance(b, CommunityAdd):
+            present.add(b.v)
+            adds += 1
+        in_run = removing
+    counts.append(len(present & sybil))
+
+    for i, (expelled, comp) in enumerate(runs):
+        assert expelled == comp, (
+            f"expulsion {i} removed {len(expelled)} members, its sybil component has {len(comp)}"
+        )
+    assert [len(expelled) for expelled, _ in runs] == result.expulsion_sizes
+    assert counts == result.sybil_series.tolist()
+
+
+def reference_slot_sigma(n: int, k: int, p: float, rounds: int, burn_in: int, seed: int) -> float:
+    """Time-averaged penetration of the k-slot sybil process, written out directly.
+
+    A fixed honest community of n members; each round one sybil joins a
+    uniform slot of k (founding its component when the slot is empty), then
+    one uniform member is inspected and, if it is a sybil, its whole slot is
+    expelled with probability p.  Draws come from numpy's default generator,
+    so the result agrees with ``run_agent_sim`` in law, not draw for draw.
+    """
+    rng = np.random.default_rng(seed)
+    members = list(range(n))
+    pos = {i: i for i in members}
+    slots: list[list[int]] = [[] for _ in range(k)]
+    slot_of: dict[int, int] = {}
+    next_id = n
+    sybil_count = 0
+    sigma = np.empty(rounds)
+
+    def remove_member(ident: int) -> None:
+        idx = pos.pop(ident)
+        last = members.pop()
+        if last != ident:
+            members[idx] = last
+            pos[last] = idx
+
+    for row, (u_slot, u_inspect, u_detect) in enumerate(rng.random((rounds, 3)).tolist()):
+        slot = min(int(u_slot * k), k - 1)
+        slots[slot].append(next_id)
+        slot_of[next_id] = slot
+        pos[next_id] = len(members)
+        members.append(next_id)
+        sybil_count += 1
+        next_id += 1
+        inspected = members[min(int(u_inspect * len(members)), len(members) - 1)]
+        if inspected >= n and u_detect < p:
+            expelled = slot_of[inspected]
+            for m in slots[expelled]:
+                remove_member(m)
+                del slot_of[m]
+                sybil_count -= 1
+            slots[expelled] = []
+        sigma[row] = sybil_count / len(members)
+    return float(sigma[burn_in:].mean())

@@ -7,7 +7,7 @@ import pytest
 
 from gpi.community import history_from_ledger
 from gpi.ledger import parse_log, serialize_log
-from gpi.metrics import Graph
+from gpi.metrics import generate_regular_expander, greedy_independent_set
 from gpi.oracle import classify
 from gpi.sim import (
     CappedAdmissionResult,
@@ -15,7 +15,6 @@ from gpi.sim import (
     ExpanderFamily,
     ExpanderViolation,
     SimConfig,
-    adversary_place_components,
     capped_admission_sim,
     expander_bound_experiment,
     moment_matched_component_size,
@@ -23,6 +22,8 @@ from gpi.sim import (
     run_markov_component,
     steady_state_root,
 )
+
+from helpers import check_expulsions, reference_slot_sigma
 
 
 def exact_stationary_mean(n: float, p: float, k: int, xmax: int = 400) -> float:
@@ -123,9 +124,12 @@ class TestAgentSim:
         assert result.component_count_series.max() <= 3
 
     def test_expelled_sets_are_connected_components(self):
-        # verify mode BFS-checks every expulsion against recorded edges
-        result = run_agent_sim(self.config(steps=2500), verify_components=True)
-        assert result.expulsion_count > 0
+        # every expulsion, replayed from the emitted ledger, is one whole
+        # connected sybil component of the mutual type-3 pledge graph
+        for adversary in ("uniform", "greedy_independent_set"):
+            result = run_agent_sim(self.config(steps=2500, adversary=adversary), emit_ledger=True)
+            assert max(result.expulsion_sizes) > 1
+            check_expulsions(result)
 
     def test_incremental_sigma_matches_recount(self):
         config = self.config(steps=800, n0=30)
@@ -185,26 +189,6 @@ class TestCappedAdmission:
         assert isinstance(capped_admission_sim(0.2, 10, seed=0), CappedAdmissionResult)
 
 
-class TestPlacement:
-    def test_complete_graph_falls_back(self):
-        g = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        placement = adversary_place_components(g, 2, "greedy_independent_set", seed=1)
-        assert placement.fallback
-        assert len(set(placement.vertices)) == 2
-
-    def test_cycle_takes_alternating_vertices(self):
-        g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-        placement = adversary_place_components(g, 3, "greedy_independent_set")
-        assert placement.vertices == (0, 2, 4)
-        assert not placement.fallback
-
-    def test_uniform_deterministic_per_seed(self):
-        g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-        a = adversary_place_components(g, 3, "uniform", seed=7)
-        b = adversary_place_components(g, 3, "uniform", seed=7)
-        assert a == b
-
-
 class TestExpanderExperiment:
     def test_small_run_stays_under_bound(self):
         report = expander_bound_experiment(
@@ -247,3 +231,27 @@ class TestExpanderExperiment:
         seq = expander_bound_experiment(**kwargs, jobs=1)
         par = expander_bound_experiment(**kwargs, jobs=2)
         assert seq.outcomes == par.outcomes
+
+    def test_matches_the_direct_slot_process_in_law(self):
+        # the experiment runs the agent kernel; the k-slot process written
+        # out directly, on independent draws, gives the same mean penetration
+        family, p, rounds, burn_in = ExpanderFamily(n=60, d=30), 0.5, 3000, 300
+        report = expander_bound_experiment(
+            family, p=p, seeds=range(40), lambda_target=0.4, rounds=rounds, burn_in=burn_in
+        )
+        kernel = np.array([o.time_avg_sigma for o in report.outcomes])
+        direct = np.array(
+            [reference_slot_sigma(family.n, o.k, p, rounds, burn_in, o.seed) for o in report.outcomes]
+        )
+        pooled = math.sqrt(kernel.var(ddof=1) / len(kernel) + direct.var(ddof=1) / len(direct))
+        assert abs(kernel.mean() - direct.mean()) <= 4 * pooled
+
+    def test_placement_fallback_is_greedy_independent_set_short_of_k(self):
+        flags = set()
+        for family, target in [(ExpanderFamily(n=60, d=30), 0.4), (ExpanderFamily(n=10, d=9), 0.2)]:
+            report = expander_bound_experiment(family, p=1.0, seeds=range(3), lambda_target=target, rounds=100)
+            for o in report.outcomes:
+                graph = generate_regular_expander(family.n, family.d, o.seed).graph
+                assert o.placement_fallback == (len(greedy_independent_set(graph)) < o.k)
+                flags.add(o.placement_fallback)
+        assert flags == {False, True}  # the complete graph K_10 has k = 1

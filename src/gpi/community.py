@@ -35,7 +35,6 @@ from typing import AbstractSet, Iterator, Optional
 from .keys import PublicIdentifier
 from .ledger import CommunityAdd, CommunityRemove, Ledger
 from .metrics import (
-    EXACT_CONDUCTANCE_LIMIT,
     Graph,
     TooLarge,
     conductance_bounds,
@@ -280,7 +279,6 @@ def theorem2_check(
     grown: AbstractSet[int],
     params: Theorem2Params,
     byzantine: AbstractSet[int],
-    exact_threshold: int = EXACT_CONDUCTANCE_LIMIT,
 ) -> ConditionReport:
     """Evaluate the six growth conditions for the step community -> grown."""
     a = frozenset(community)
@@ -358,7 +356,7 @@ def theorem2_check(
     else:
         threshold = (params.gamma / params.alpha) * (1 - params.beta) / params.beta
         try:
-            phi = conductance_exact(sub, exact_threshold).value
+            phi = conductance_exact(sub).value
             cond6 = phi > threshold
             detail6 = f"Phi(G|A') = {phi} vs threshold {float(threshold):.6g} (exact)"
         except TooLarge:
@@ -428,7 +426,6 @@ def theorem2_union_check(
     second: AbstractSet[int],
     params: Theorem2Params,
     byzantine: AbstractSet[int],
-    exact_threshold: int = EXACT_CONDUCTANCE_LIMIT,
 ) -> tuple[ConditionReport, ConditionReport]:
     """Check a union of two overlapping communities from both sides.
 
@@ -437,8 +434,8 @@ def theorem2_union_check(
     """
     union = frozenset(first) | frozenset(second)
     return (
-        theorem2_check(graph, first, union, params, byzantine, exact_threshold),
-        theorem2_check(graph, second, union, params, byzantine, exact_threshold),
+        theorem2_check(graph, first, union, params, byzantine),
+        theorem2_check(graph, second, union, params, byzantine),
     )
 
 
@@ -455,9 +452,10 @@ class LemmaInstance:
     params: Theorem2Params
 
 
-def random_lemma_instance(
-    seed: int, index: int = 0, max_n: int = 16
-) -> LemmaInstance | None:
+_LEMMA_MAX_N = 16  # vertex count of the largest sampled graph
+
+
+def random_lemma_instance(seed: int, index: int = 0) -> LemmaInstance | None:
     """One random instance engineered to satisfy all six conditions.
 
     Samples a connected dense-ish graph, a small byzantine set and a small
@@ -466,7 +464,7 @@ def random_lemma_instance(
     draws again); sampling is deterministic per (seed, index).
     """
     rng = substream(seed, LEMMA_INSTANCES, index)
-    n = int(rng.integers(6, max_n + 1))
+    n = int(rng.integers(6, _LEMMA_MAX_N + 1))
     p_edge = 0.45 + 0.4 * float(rng.random())
     for _ in range(40):
         edges = [

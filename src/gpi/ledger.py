@@ -141,7 +141,6 @@ class _Kind:
             (f.name, f.name.removesuffix("_v"), f.type == "int")
             for f in dataclasses.fields(cls)
         )
-        self.identifiers = tuple(attr for attr, _, is_int in self.fields if not is_int)
 
 
 _SCHEMA = (
@@ -244,7 +243,7 @@ class Ledger:
     fresh backing.
     """
 
-    __slots__ = ("_backing", "_length", "admins", "_mention_index")
+    __slots__ = ("_backing", "_length", "admins")
 
     def __init__(
         self,
@@ -258,7 +257,6 @@ class Ledger:
         self._backing = _Backing(backing)
         self._length: int = len(backing)
         self.admins: frozenset[PublicIdentifier] = frozenset(admins)
-        self._mention_index: dict[PublicIdentifier, tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
         return self._length
@@ -290,16 +288,6 @@ class Ledger:
     def events(self) -> tuple[SignedEvent, ...]:
         return tuple(self._backing.events[: self._length])
 
-    def events_for(self, v: PublicIdentifier) -> tuple[int, ...]:
-        """Seqs of events mentioning ``v``, built lazily per ledger value."""
-        if self._mention_index is None:
-            index: dict[PublicIdentifier, list[int]] = {}
-            for ev in self:
-                for attr in _kind_of(ev.body).identifiers:
-                    index.setdefault(getattr(ev.body, attr), []).append(ev.seq)
-            self._mention_index = {k: tuple(seqs) for k, seqs in index.items()}
-        return self._mention_index.get(v, ())
-
     def derived(self, key: Hashable, build: Callable[[], _Derived]) -> _Derived:
         """The fold stored under ``key`` on this value's backing, built on first use.
 
@@ -318,7 +306,6 @@ class Ledger:
         out._backing = backing
         out._length = length
         out.admins = admins
-        out._mention_index = None
         return out
 
     def prefix(self, k: int) -> Ledger:

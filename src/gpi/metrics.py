@@ -413,16 +413,7 @@ def max_independent_set(graph: Graph, exact_limit: int = MIS_EXACT_LIMIT) -> Ind
     adj_masks = graph.bitmasks()
     static_order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
 
-    best_mask = 0
-    best_size = -1
-
-    def seed_with(mask: int, size: int) -> None:
-        nonlocal best_mask, best_size
-        if size > best_size:
-            best_mask, best_size = mask, size
-
     greedy = greedy_independent_set(graph)
-    seed_with(sum(1 << v for v in greedy), len(greedy))
 
     import sys
 
@@ -434,8 +425,8 @@ def max_independent_set(graph: Graph, exact_limit: int = MIS_EXACT_LIMIT) -> Ind
         nonlocal best_mask, best_size
         if size + cand.bit_count() <= best_size:
             return
-        if cand == 0:
-            seed_with(cur, size)
+        if cand == 0:  # the bound above makes this a strictly larger set
+            best_mask, best_size = cur, size
             return
         # isolated-in-candidates vertices always join the set
         v = -1
@@ -456,9 +447,8 @@ def max_independent_set(graph: Graph, exact_limit: int = MIS_EXACT_LIMIT) -> Ind
     total_size = 0
     for comp in graph.components():
         comp_mask = sum(1 << v for v in comp)
-        best_mask, best_size = 0, -1
-        sub_greedy = [v for v in greedy if v in set(comp)]
-        seed_with(sum(1 << v for v in sub_greedy), len(sub_greedy))
+        sub_greedy = greedy.intersection(comp)
+        best_mask, best_size = sum(1 << v for v in sub_greedy), len(sub_greedy)
         expand(comp_mask, 0, 0)
         total_mask |= best_mask
         total_size += best_size

@@ -24,17 +24,19 @@ Every fact is stamped with the seq at which it became true, and an event's
 effect depends only on earlier events, so one fold per ledger backing and
 quorum (``analyze``) serves the ledger, each of its prefixes and the values
 appended at its tip: a prefix reads the cached fold by seq comparison.
+Each fact is stored once (``LedgerAnalysis`` lists them); a pending reset is
+dropped once its target is nullified, as nothing after that changes it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .keys import PublicIdentifier
 from .ledger import (
@@ -79,30 +81,6 @@ class IdentifierStatus:
     state: str
 
 
-class ResetRecord(NamedTuple):
-    """One reset as of some prefix: when it was posted, whom it needs, and
-    when it became effective (None while it is pending in that prefix)."""
-
-    seq: int
-    neighbors: frozenset[PublicIdentifier]
-    needed: int
-    effective_at: int | None
-
-
-@dataclass
-class _PendingReset:
-    seq: int
-    neighbors: frozenset[PublicIdentifier]
-    needed: int
-    # endorsers are not seq-stamped: a prefix view reads only effective_at
-    endorsers: set[PublicIdentifier] = field(default_factory=set)
-    effective_at: int | None = None
-
-    def as_of(self, k: int) -> ResetRecord:
-        at = self.effective_at
-        return ResetRecord(self.seq, self.neighbors, self.needed, at if at is not None and at < k else None)
-
-
 class _Fold:
     """The registry fold of one ledger backing, advanced one event at a time.
 
@@ -120,9 +98,11 @@ class _Fold:
         self.duplicates: list[int] = []
         self.update_valid: dict[int, bool] = {}
         self.consumed: dict[PublicIdentifier, int] = {}
-        self.children: dict[PublicIdentifier, list[int]] = {}
-        self.resets: dict[PublicIdentifier, list[_PendingReset]] = {}
+        self.first_child: dict[PublicIdentifier, int] = {}  # first seq introducing a successor
+        self.reset_at: dict[PublicIdentifier, int] = {}  # seq of the first reset
         self.nullified_at: dict[PublicIdentifier, int] = {}
+        # target -> [(neighbours, needed, endorsers)]: unstamped, so dropped once target is nullified
+        self.pending: dict[PublicIdentifier, list[tuple[frozenset[PublicIdentifier], int, set]]] = {}
         self.referenced_old: dict[PublicIdentifier, int] = {}  # first seq naming it as old
         # directed pledges per type: type -> from -> {to -> first seq}
         self.pledges: dict[int, dict[PublicIdentifier, dict[PublicIdentifier, int]]] = {
@@ -166,7 +146,7 @@ class _Fold:
                     self.duplicates.append(seq)
                     continue
                 self._introduce(body.new_v, seq)
-                self.children.setdefault(old, []).append(seq)
+                self.first_child.setdefault(old, seq)
                 ok = (
                     old in self.intro
                     and self.intro[old] < seq
@@ -179,25 +159,28 @@ class _Fold:
                     self.consumed[old] = seq
             elif isinstance(body, Reset):
                 v = body.old_v
+                self.reset_at.setdefault(v, seq)
+                if v in self.nullified_at:
+                    continue  # moot: the first effective reset stands
                 if v in self.intro:
                     neighbors = self._mutual_neighbors(v)
                 else:  # a reset is still a declaration event of v, which has no neighbours yet
                     self._introduce(v, seq)
                     neighbors = frozenset()
                 n = len(neighbors)
-                needed = -(-(q * n).numerator // (q * n).denominator)  # ceil(q*n)
-                rec = _PendingReset(seq, neighbors, needed)
-                if n == 0:  # nobody to object: effective immediately
-                    rec.effective_at = seq
-                    self.nullified_at.setdefault(v, seq)
-                self.resets.setdefault(v, []).append(rec)
+                if n == 0:  # effective at once; neighbours only grow, so no reset of v is pending
+                    self.nullified_at[v] = seq
+                else:
+                    needed = -(-(q * n).numerator // (q * n).denominator)  # ceil(q*n)
+                    self.pending.setdefault(v, []).append((neighbors, needed, set()))
             elif isinstance(body, ResetEndorsement):
-                for rec in self.resets.get(body.target_v, ()):
-                    if rec.effective_at is None and body.endorser_v in rec.neighbors:
-                        rec.endorsers.add(body.endorser_v)
-                        if len(rec.endorsers) >= rec.needed:
-                            rec.effective_at = seq
-                            self.nullified_at.setdefault(body.target_v, seq)
+                for neighbors, needed, endorsers in self.pending.get(body.target_v, ()):
+                    if body.endorser_v in neighbors:
+                        endorsers.add(body.endorser_v)
+                        if len(endorsers) >= needed:
+                            self.nullified_at[body.target_v] = seq
+                            del self.pending[body.target_v]
+                            break
             elif isinstance(body, Pledge):
                 per_type = self.pledges[body.surety_type]
                 per_from = per_type.setdefault(body.from_v, {})
@@ -217,20 +200,20 @@ class _Cut(Mapping):
 
     ``stamp(key, value)`` is the seq at which an entry became true.  Stamps
     never decrease in a table's insertion order, so iteration stops at the
-    first entry stamped at or after ``k``.  ``show(value)`` hands out the
-    value as of ``k``, in a form the caller cannot use to change the fold.
+    first entry stamped at or after ``k``.  Every value is an int, an
+    identifier or a tuple, so it is handed out as it is.
     """
 
-    __slots__ = ("_table", "_k", "_stamp", "_show")
+    __slots__ = ("_table", "_k", "_stamp")
 
-    def __init__(self, table: dict, k: int, stamp: Callable, show: Callable | None = None):
-        self._table, self._k, self._stamp, self._show = table, k, stamp, show
+    def __init__(self, table: dict, k: int, stamp: Callable):
+        self._table, self._k, self._stamp = table, k, stamp
 
     def get(self, key, default=None):
         value = self._table.get(key, _ABSENT)
         if value is _ABSENT or self._stamp(key, value) >= self._k:
             return default
-        return value if self._show is None else self._show(value)
+        return value
 
     def __getitem__(self, key):
         value = self.get(key, _ABSENT)
@@ -260,7 +243,7 @@ class _CutItems(ItemsView):
         for key, value in cut._table.items():
             if cut._stamp(key, value) >= cut._k:
                 return
-            yield key, (value if cut._show is None else cut._show(value))
+            yield key, value
 
 
 def _by_key(key, value):
@@ -282,11 +265,13 @@ class LedgerAnalysis:
     seq comparison, so the view of a prefix answers exactly what a fresh
     fold of that prefix would, and a view keeps answering for its ``k``
     after the fold advances.  Each table's view is made on first use.
+    The tables: ``intro``, ``introduced_at``, ``duplicates``, ``update_valid``,
+    ``consumed``, ``first_child``, ``reset_at``, ``nullified_at``,
+    ``referenced_old`` and ``mutual``.  Pending resets are not exposed.
     """
 
     def __init__(self, fold: _Fold, k: int):
         self._fold, self._k = fold, k
-        self.quorum = fold.quorum
 
     @cached_property
     def intro(self) -> Mapping[PublicIdentifier, int]:
@@ -309,15 +294,12 @@ class LedgerAnalysis:
         return _Cut(self._fold.consumed, self._k, _by_value)
 
     @cached_property
-    def children(self) -> Mapping[PublicIdentifier, tuple[int, ...]]:
-        k = self._k
-        return _Cut(self._fold.children, k, _by_first, lambda seqs: tuple(seqs[: bisect_left(seqs, k)]))
+    def first_child(self) -> Mapping[PublicIdentifier, int]:
+        return _Cut(self._fold.first_child, self._k, _by_value)
 
     @cached_property
-    def resets(self) -> Mapping[PublicIdentifier, tuple[ResetRecord, ...]]:
-        k = self._k
-        return _Cut(self._fold.resets, k, lambda v, recs: recs[0].seq,
-                    lambda recs: tuple(r.as_of(k) for r in recs if r.seq < k))
+    def reset_at(self) -> Mapping[PublicIdentifier, int]:
+        return _Cut(self._fold.reset_at, self._k, _by_value)
 
     @cached_property
     def nullified_at(self) -> Mapping[PublicIdentifier, int]:
@@ -329,22 +311,10 @@ class LedgerAnalysis:
         return _Cut(self._fold.referenced_old, self._k, _by_value)
 
     @cached_property
-    def pledges(self) -> Mapping[int, Mapping[PublicIdentifier, Mapping[PublicIdentifier, int]]]:
-        """Directed pledges per type: type -> from -> {to -> first seq}."""
-        k = self._k
-        return MappingProxyType({  # a source is stamped by its first pledge
-            t: _Cut(per_type, k, lambda u, to: next(iter(to.values())), lambda to: _Cut(to, k, _by_value))
-            for t, per_type in self._fold.pledges.items()
-        })
-
-    @cached_property
     def mutual(self) -> Mapping[int, Mapping[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]]:
         """Mutual pairs per type: (u, v) -> (first seq of u -> v, of v -> u),
         stamped by the later of the two."""
         return MappingProxyType({t: _Cut(pairs, self._k, _by_first) for t, pairs in self._fold.mutual.items()})
-
-    def is_nullified(self, v: PublicIdentifier) -> bool:
-        return v in self.nullified_at
 
 
 def analyze(ledger: Ledger, quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM) -> LedgerAnalysis:
@@ -393,8 +363,8 @@ def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
     # one exists, else its earliest referencing update; all other updates of
     # the same identifier start chains of their own.
     continuation: dict[PublicIdentifier, int] = {}
-    for old, kids in a.children.items():
-        continuation[old] = a.consumed.get(old, kids[0])
+    for old, kid in a.first_child.items():
+        continuation[old] = a.consumed.get(old, kid)
 
     continuation_seqs = set(continuation.values())
     chains: list[ProvenanceChain] = []
@@ -448,7 +418,7 @@ def current_identifiers(
     return frozenset(
         c.current
         for c in chains
-        if c.valid and c.maximal and not a.is_nullified(c.current)
+        if c.valid and c.maximal and c.current not in a.nullified_at
     )
 
 
@@ -461,9 +431,9 @@ def reset_status(
     a = analyze(ledger, quorum_fraction)
     if v not in a.intro:
         return IdentifierStatus(v, NEVER_DECLARED)
-    if v in a.resets:
-        if a.is_nullified(v):
-            return IdentifierStatus(v, NULLIFIED)
+    if v in a.nullified_at:  # only a reset nullifies
+        return IdentifierStatus(v, NULLIFIED)
+    if v in a.reset_at:
         return IdentifierStatus(v, RESET_PENDING)
     if v in a.consumed:
         return IdentifierStatus(v, SUPERSEDED)

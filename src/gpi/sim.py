@@ -55,6 +55,7 @@ from .oracle import AgentRegistry
 from .rng import AGENT_SIM, CAPPED_ADMISSION, MARKOV_CHAIN, stream, substream
 
 _BLOCK = 1 << 15
+_BATCHES = 100  # batch count of the batch-means standard error
 
 
 class ConfigError(ValueError):
@@ -73,13 +74,13 @@ class MeanWithError(NamedTuple):
     stderr: float
 
 
-def _mean_with_error(series: np.ndarray, nbatches: int = 100) -> MeanWithError:
+def _mean_with_error(series: np.ndarray) -> MeanWithError:
     """Batch-means estimate; plain std/sqrt(n) would ignore autocorrelation."""
     m = len(series)
     if m == 0:
         return MeanWithError(math.nan, math.nan)
     mean = float(series.mean())
-    b = min(nbatches, m)
+    b = min(_BATCHES, m)
     if b < 2:
         return MeanWithError(mean, math.nan)
     usable = (m // b) * b
@@ -207,7 +208,6 @@ class SimResult:
     time_avg_sigma: MeanWithError
     time_avg_sybils: MeanWithError
     time_avg_size: MeanWithError
-    time_avg_component: MeanWithError
     final_members: tuple[int, ...] = ()
     ledger: Ledger | None = None
     registry: AgentRegistry | None = None
@@ -285,13 +285,11 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
     k = config.k
     members: list[int] = list(range(config.n0))
     pos: dict[int, int] = {ident: i for i, ident in enumerate(members)}
-    is_sybil: dict[int, bool] = {ident: False for ident in members}
     honest_members: list[int] = list(members)
     components: list[list[int]] = []
-    comp_of: dict[int, int] = {}
+    comp_of: dict[int, int] = {}  # present sybil -> its component; a member is a sybil iff here
     anchors: list[int] = []  # honest attachment point of each component
     next_id = config.n0
-    sybil_count = 0
 
     # only the greedy adversary's founding-target search reads the edges
     track_edges = config.adversary == "greedy_independent_set"
@@ -342,7 +340,6 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
             cand = next_id
             next_id += 1
             if u_type < config.sybil_rate:
-                is_sybil[cand] = True
                 slot = int(u_slot * k)
                 if slot < len(components):
                     comp = components[slot]
@@ -354,9 +351,7 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
                     components.append([cand])
                     anchors.append(target)
                     comp_of[cand] = len(components) - 1
-                sybil_count += 1
             else:
-                is_sybil[cand] = False
                 target = members[min(int(u_member * len(members)), len(members) - 1)]
                 honest_members.append(cand)
             pos[cand] = len(members)
@@ -365,16 +360,15 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
                 neighbors.setdefault(target, set()).add(cand)
                 neighbors.setdefault(cand, set()).add(target)
             if emitter is not None:
-                emitter.admit(cand, is_sybil[cand], target, is_sybil[target])
+                emitter.admit(cand, cand in comp_of, target, target in comp_of)
 
             inspected = members[min(int(u_inspect * len(members)), len(members) - 1)]
-            if is_sybil[inspected] and u_detect < config.p:
+            if inspected in comp_of and u_detect < config.p:
                 ci = comp_of[inspected]
                 comp = components[ci]
                 for m in comp:
                     remove_member(m)
-                    sybil_count -= 1
-                    comp_of.pop(m, None)
+                    del comp_of[m]
                     if emitter is not None:
                         emitter.remove(m)
                 last = components.pop()
@@ -386,18 +380,15 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
                         comp_of[m] = ci
                 expulsion_sizes.append(len(comp))
 
-            n_members = len(members)
-            sigma[row] = sybil_count / n_members
+            n_members, n_sybils = len(members), len(comp_of)
+            sigma[row] = n_sybils / n_members
             size_series[row] = n_members
-            sybil_series[row] = sybil_count
+            sybil_series[row] = n_sybils
             comp_count[row] = len(components)
             max_comp[row] = max(map(len, components), default=0)
             row += 1
 
     tail = slice(config.burn_in, None)
-    comp_mean_series = np.where(
-        comp_count[tail] > 0, sybil_series[tail] / np.maximum(comp_count[tail], 1), 0.0
-    )
     result = SimResult(
         config=config,
         sigma_series=sigma,
@@ -409,7 +400,6 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
         time_avg_sigma=_mean_with_error(sigma[tail]),
         time_avg_sybils=_mean_with_error(sybil_series[tail].astype(float)),
         time_avg_size=_mean_with_error(size_series[tail].astype(float)),
-        time_avg_component=_mean_with_error(comp_mean_series),
         final_members=tuple(members),
     )
     if emitter is not None:

@@ -272,10 +272,9 @@ def fold_facts(a) -> tuple:
         dict(a.update_valid),
         dict(a.consumed),
         dict(a.nullified_at),
-        {t: {u: dict(to) for u, to in per_type.items()} for t, per_type in a.pledges.items()},
         {t: dict(pairs) for t, pairs in a.mutual.items()},
-        dict(a.resets),  # (seq, neighbors, needed, effective_at if < k) per record
-        dict(a.children),
+        dict(a.reset_at),
+        dict(a.first_child),
         dict(a.referenced_old),
     )
 

@@ -69,16 +69,6 @@ class TestAppend:
         assert branch_a[1].body.v == k2.public
         assert branch_b[1].body.v == k3.public
 
-    def test_per_identifier_index(self):
-        k1, k2 = kp(b"a"), kp(b"b")
-        ledger = append_event(Ledger(), Declare(k1.public), k1)
-        ledger = append_event(ledger, Update(k2.public, k1.public), k2)
-        ledger = append_event(ledger, Pledge(1, k2.public, k1.public), k2)
-        assert ledger.events_for(k1.public) == (0, 1, 2)
-        assert ledger.events_for(k2.public) == (1, 2)
-        assert ledger.prefix(1).events_for(k2.public) == ()
-        assert ledger.events_for(kp(b"zz").public) == ()
-
     def test_community_event_requires_registered_admin(self):
         from gpi.ledger import CommunityAdd
 

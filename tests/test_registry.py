@@ -5,7 +5,7 @@ import pytest
 from gpi import registry
 from gpi.community import history_from_ledger
 from gpi.keys import generate_keypair
-from gpi.ledger import Declare, Ledger, append_event
+from gpi.ledger import Declare, Ledger, Reset, append_event
 from gpi.oracle import classify, surety_violations
 from gpi.registry import (
     CURRENT,
@@ -25,7 +25,7 @@ from gpi.registry import (
 from gpi.sim import SimConfig, run_agent_sim
 from gpi.surety import graph_at
 
-from helpers import Scenario, fold_facts
+from helpers import Scenario, bf_nullified, fold_facts, random_scenario
 
 
 class TestFirstDeclaration:
@@ -206,6 +206,30 @@ class TestResetStatus:
         # only type >= 2 neighbours matter, so the quorum is vacuous
         assert reset_status(scenario.ledger, scenario.ident("v"), 2 / 3).state == NULLIFIED
 
+    def test_a_reset_once_effective_is_final(self, scenario):
+        # two resets of v under different neighbour sets: {n0} needs 1, {n0, n1, n2} needs 2
+        for name, agent in (("v", "h"), ("n0", "g0"), ("n1", "g1"), ("n2", "g2")):
+            scenario.declare(name, agent)
+        scenario.mutual_pledge(2, "v", "n0", "h", "g0")
+        assert scenario.reset("v", "h") == 6
+        scenario.mutual_pledge(2, "v", "n1", "h", "g1")
+        scenario.mutual_pledge(2, "v", "n2", "h", "g2")
+        scenario.reset("v", "h")
+        assert scenario.endorse("v", "n0", "g0") == 12  # completes the first reset only
+        scenario.endorse("v", "n1", "g1")  # would complete the second
+        scenario.reset("v", "h")
+        scenario.endorse("v", "n2", "g2")
+        ledger, v = scenario.ledger, scenario.ident("v")
+        events = list(ledger)
+        for k in range(1, len(ledger) + 1):
+            a = analyze(ledger.prefix(k))
+            state = reset_status(ledger.prefix(k), v).state
+            assert (v in a.nullified_at) == bf_nullified(events, v, k), k
+            assert dict(a.nullified_at) == ({v: 12} if k > 12 else {}), k
+            assert a.reset_at.get(v) == (6 if k > 6 else None), k
+            assert state == (NULLIFIED if k > 12 else RESET_PENDING if k > 6 else CURRENT), k
+        assert v not in analyze(ledger)._fold.pending  # dropped once v was nullified
+
 
 class TestPrefixMonotonicity:
     def test_validity_never_revoked(self, scenario):
@@ -217,6 +241,23 @@ class TestPrefixMonotonicity:
         assert is_valid_update(ledger.prefix(2), 1)
         for k in range(2, len(ledger) + 1):
             assert is_valid_update(ledger.prefix(k), 1)
+
+
+class TestNullifiedMatchesBruteForce:
+    @pytest.mark.parametrize("n_events", [None, 120])
+    def test_quarter_prefixes(self, n_events):
+        checked = 0
+        for seed in range(200):
+            ledger = random_scenario(seed, n_events).ledger
+            events = list(ledger)
+            targets = {ev.body.old_v for ev in events if isinstance(ev.body, Reset)}
+            n = len(ledger)
+            for k in (n // 4, n // 2, 3 * n // 4, n):
+                a = analyze(ledger.prefix(k))
+                for v in targets:
+                    assert (v in a.nullified_at) == bf_nullified(events, v, k), (seed, k, v)
+                    checked += 1
+        assert checked > 0
 
 
 class TestFoldCache:
@@ -238,15 +279,11 @@ class TestFoldCache:
         with pytest.raises(TypeError):
             a.intro[v] = 99
         with pytest.raises(TypeError):
-            a.pledges[2][v][w] = 99
+            a.reset_at[v] = 0
         with pytest.raises(TypeError):
-            a.pledges[2] = {}
-        with pytest.raises(AttributeError):
-            a.children[v].append(99)
-        with pytest.raises(AttributeError):
-            a.resets[w][0].neighbors.add(v)
-        with pytest.raises(AttributeError):
-            a.resets[w][0].effective_at = 0
+            a.mutual[2][v, w] = (0, 0)
+        with pytest.raises(TypeError):
+            a.mutual[2] = {}
         with pytest.raises(AttributeError):
             a.duplicates.append(0)
         a.nullified_at = {w: 0}  # rebinds this view's attribute only

@@ -148,7 +148,7 @@ def _cmd_ledger_graph(args: argparse.Namespace) -> int:
 
 def _cmd_metrics_conductance(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
-    result = metrics.conductance_exact(graph, args.threshold)
+    result = metrics.conductance_exact(graph)
     labels = graph.labels or tuple(str(i) for i in range(graph.n))
     print(json.dumps({
         "phi": str(result.value),
@@ -173,7 +173,7 @@ def _cmd_metrics_lambda(args: argparse.Namespace) -> int:
 
 def _cmd_metrics_mis(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
-    result = metrics.max_independent_set(graph, args.exact_limit)
+    result = metrics.max_independent_set(graph)
     labels = graph.labels or tuple(str(i) for i in range(graph.n))
     print(json.dumps({
         "size": len(result.vertices),
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = metrics_sub.add_parser("conductance", help="exact conductance")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--threshold", type=int, default=metrics.EXACT_CONDUCTANCE_LIMIT)
     p.set_defaults(func=_cmd_metrics_conductance)
 
     p = metrics_sub.add_parser("lambda", help="random-walk spectrum and Cheeger bounds")
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = metrics_sub.add_parser("mis", help="maximum independent set")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--exact-limit", type=int, default=metrics.MIS_EXACT_LIMIT)
     p.set_defaults(func=_cmd_metrics_mis)
 
     check_p = sub.add_parser("check", help="guarantee checkers")

@@ -273,14 +273,10 @@ def _internal_degree(graph: Graph, v: int, inside: AbstractSet[int]) -> int:
     return sum(1 for w in graph.adj[v] if w in inside)
 
 
-def theorem2_check(
-    graph: Graph,
-    community: AbstractSet[int],
-    grown: AbstractSet[int],
-    params: Theorem2Params,
-    byzantine: AbstractSet[int],
-) -> ConditionReport:
-    """Evaluate the six growth conditions for the step community -> grown."""
+def _growth_step(
+    graph: Graph, community: AbstractSet[int], grown: AbstractSet[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The step community -> grown as frozensets, after checking it is one."""
     a = frozenset(community)
     a_next = frozenset(grown)
     if not a <= a_next:
@@ -289,6 +285,18 @@ def theorem2_check(
         raise ValueError("grown community contains unknown vertices")
     if not a:
         raise EmptyCommunity("the initial community must be nonempty")
+    return a, a_next
+
+
+def theorem2_check(
+    graph: Graph,
+    community: AbstractSet[int],
+    grown: AbstractSet[int],
+    params: Theorem2Params,
+    byzantine: AbstractSet[int],
+) -> ConditionReport:
+    """Evaluate the six growth conditions for the step community -> grown."""
+    a, a_next = _growth_step(graph, community, grown)
     byz = frozenset(byzantine)
     harmless_in = a_next - byz
     byz_in = a_next & byz
@@ -395,14 +403,10 @@ def infer_params(
 ) -> Theorem2Params:
     """Tightest constants satisfying conditions 1, 2, 4 and 5; beta is yours.
 
-    Exact rationals are returned so the constants re-check cleanly.
+    Exact rationals are returned so the constants re-check cleanly.  The
+    step is validated as in ``theorem2_check``.
     """
-    a = frozenset(community)
-    a_next = frozenset(grown)
-    if not a:
-        raise EmptyCommunity("the initial community must be nonempty")
-    if not a <= a_next:
-        raise ValueError("community must be a subset of the grown community")
+    a, a_next = _growth_step(graph, community, grown)
     byz = frozenset(byzantine)
     d = max(graph.degree(v) for v in a_next)
     if d > 0:
@@ -489,7 +493,7 @@ def random_lemma_instance(seed: int, index: int = 0) -> LemmaInstance | None:
     byzantine = frozenset(int(v) for v in rng.permutation(n)[:n_byz])
 
     base = infer_params(graph, community, grown, byzantine, beta=Fraction(1, 2))
-    phi = conductance_exact(graph.induced(grown)[0]).value
+    phi = conductance_exact(graph).value  # grown is every vertex
     if base.alpha == 0 or phi == 0:
         return None
     # beta must cover the byzantine share of A, exceed the conductance

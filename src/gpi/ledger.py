@@ -415,7 +415,7 @@ def _parse_body(rec: dict, line: int) -> EventBody:
         raise ParseError(line, str(exc)) from None
 
 
-def parse_log(data: bytes, admins: Iterable[PublicIdentifier] = ()) -> Ledger:
+def parse_log(data: bytes) -> Ledger:
     """Parse and re-verify a serialized log; only the canonical form parses.
 
     Every line must be exactly what ``serialize_log`` writes for the event
@@ -424,7 +424,8 @@ def parse_log(data: bytes, admins: Iterable[PublicIdentifier] = ()) -> Ledger:
     an unregistered scheme) and so is the signer rule of every body that
     names its signer; community add/remove events are checked
     cryptographically only, as admin membership is append-time policy that
-    the file does not record.  Seq values must be dense from 0.
+    the file does not record.  Seq values must be dense from 0.  The
+    returned ledger has no admins; ``Ledger.with_admins`` sets them.
     """
     if data and not data.endswith(b"\n"):
         raise ParseError(data.count(b"\n") + 1, "missing final newline")
@@ -464,7 +465,7 @@ def parse_log(data: bytes, admins: Iterable[PublicIdentifier] = ()) -> Ledger:
         if required is not None and signer != required:
             raise VerifyError(i, "signer does not match the identifier the body speaks for")
         events.append(event)
-    return Ledger(events, admins)
+    return Ledger(events)
 
 
 def write_log(path, ledger: Ledger) -> None:
@@ -472,6 +473,6 @@ def write_log(path, ledger: Ledger) -> None:
         fh.write(serialize_log(ledger))
 
 
-def read_log(path, admins: Iterable[PublicIdentifier] = ()) -> Ledger:
+def read_log(path) -> Ledger:
     with open(path, "rb") as fh:
-        return parse_log(fh.read(), admins)
+        return parse_log(fh.read())

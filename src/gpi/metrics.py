@@ -7,8 +7,11 @@ the quantities the community checkers and simulations are built on:
 
       Phi(G) = min over nonempty proper A of  e(A, A^c) / min(vol A, vol A^c)
 
-  computed by exhaustive subset enumeration (exact rationals, so argmin
-  ties are resolved deterministically) for small graphs;
+  computed exactly for graphs of up to EXACT_CONDUCTANCE_LIMIT = 20
+  vertices by enumerating every split A as a 0/1 vector x, with
+  e(A, A^c) = vol A - x^T Adj x evaluated for blocks of splits as matrix
+  products (the minimum is settled in exact rationals, so argmin ties are
+  resolved deterministically);
 
 * the random-walk spectrum: lambda(G) is the largest modulus among the
   non-principal eigenvalues of D^-1 A, and the signed second-largest
@@ -211,74 +214,59 @@ class ConductanceResult:
     argmin: frozenset[int]
 
 
-_POP16: np.ndarray | None = None
-
-
-def _popcount16() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        counts = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(16):
-            counts[(np.arange(1 << 16) >> i) & 1 == 1] += 1
-        _POP16 = counts
-    return _POP16
-
-
 EXACT_CONDUCTANCE_LIMIT = 20
+_SPLIT_BLOCK = 1 << 14  # splits evaluated per matrix product; bounds working memory
 
 
-def conductance_exact(
-    graph: Graph, exact_threshold: int = EXACT_CONDUCTANCE_LIMIT
-) -> ConductanceResult:
+def conductance_exact(graph: Graph) -> ConductanceResult:
     """Exact conductance by enumerating every nontrivial split.
 
+    Each split A is a 0/1 row x, so vol A = x . deg and
+
+        e(A, A^c) = vol A - x^T Adj x = x^T (D - Adj) x.
+
+    Blocks of splits are evaluated as float32 matrix products, exact
+    because every entry and sum is an integer of magnitude at most n(n-1).
+    The minimum is settled in exact rationals; among tied splits the
+    lexicographically smallest A containing vertex 0 is returned.
     Disconnected graphs are reported as exactly 0 with a witnessing
-    component rather than raising.  Raises TooLarge beyond the threshold;
-    callers should fall back to the spectral bounds there.
+    component rather than raising.  Raises TooLarge beyond
+    EXACT_CONDUCTANCE_LIMIT vertices; callers should fall back to the
+    spectral bounds there.
     """
     n = graph.n
     if n < 2:
         raise ValueError("conductance needs at least two vertices")
-    if exact_threshold > 30:
-        raise ValueError("exact enumeration is capped at 30 vertices")
     comps = graph.components()
     if len(comps) > 1:
         witness = min(comps)  # lexicographically smallest component
         return ConductanceResult(Fraction(0), frozenset(witness))
-    if n > exact_threshold:
-        raise TooLarge(n, exact_threshold)
+    if n > EXACT_CONDUCTANCE_LIMIT:
+        raise TooLarge(n, EXACT_CONDUCTANCE_LIMIT)
 
-    deg = graph.degrees
-    total = int(deg.sum())
-    adj_masks = np.array(graph.bitmasks(), dtype=np.uint32)
-    # vertex 0 is pinned inside A, so each split is enumerated once
-    masks = np.arange(1, 1 << n, 2, dtype=np.uint32)
-    masks = masks[masks != np.uint32((1 << n) - 1)]
-    pop = _popcount16()
-    cut = np.zeros(len(masks), dtype=np.int64)
-    vol = np.zeros(len(masks), dtype=np.int64)
-    inv = np.invert(masks)
-    for v in range(n):
-        member = ((masks >> np.uint32(v)) & np.uint32(1)).astype(np.int64)
-        outside = adj_masks[v] & inv
-        boundary = pop[outside & np.uint32(0xFFFF)].astype(np.int64)
-        boundary += pop[(outside >> np.uint32(16))].astype(np.int64)
-        cut += member * boundary
-        vol += member * int(deg[v])
-    den = np.minimum(vol, total - vol)
-    ratio = cut / den
-    best_float = float(ratio.min())
-    candidates = np.nonzero(ratio <= best_float + 1e-9)[0]
-
+    deg = graph.degrees.astype(np.float32)
+    total = deg.sum()
+    laplacian = np.diag(deg) - graph.adjacency_matrix().astype(np.float32)
+    vertices = np.arange(n, dtype=np.uint32)
+    # split i is the mask 2i + 1: vertex 0 is pinned inside A, so each split
+    # is enumerated once, and i < 2^(n-1) - 1 keeps A^c nonempty
+    splits = (1 << (n - 1)) - 1
     best: Fraction | None = None
     best_set: tuple[int, ...] | None = None
-    for i in candidates:
-        value = Fraction(int(cut[i]), int(den[i]))
-        if best is not None and value > best:
-            continue
-        members = tuple(v for v in range(n) if int(masks[i]) >> v & 1)
-        if best is None or value < best or members < best_set:
-            best, best_set = value, members
+    for lo in range(0, splits, _SPLIT_BLOCK):
+        masks = 2 * np.arange(lo, min(lo + _SPLIT_BLOCK, splits), dtype=np.uint32) + 1
+        x = (masks[:, None] >> vertices & 1).astype(np.float32)
+        vol = x @ deg
+        cut = np.einsum("ij,ij->i", x @ laplacian, x)
+        den = np.minimum(vol, total - vol)
+        ratio = cut / den.astype(np.float64)
+        for i in np.nonzero(ratio <= ratio.min() + 1e-9)[0]:
+            value = Fraction(int(cut[i]), int(den[i]))
+            if best is not None and value > best:
+                continue
+            members = tuple(v for v in range(n) if int(masks[i]) >> v & 1)
+            if best is None or value < best or members < best_set:
+                best, best_set = value, members
     assert best is not None and best_set is not None
     return ConductanceResult(best, frozenset(best_set))
 
@@ -400,26 +388,21 @@ def greedy_independent_set(graph: Graph) -> frozenset[int]:
 MIS_EXACT_LIMIT = 40
 
 
-def max_independent_set(graph: Graph, exact_limit: int = MIS_EXACT_LIMIT) -> IndependentSetResult:
-    """Maximum independent set, exact via branch and bound up to the limit.
+def max_independent_set(graph: Graph) -> IndependentSetResult:
+    """Maximum independent set, exact via branch and bound.
 
-    Beyond the limit a greedy set is returned and flagged approximate.
+    Beyond MIS_EXACT_LIMIT vertices a greedy set is returned and flagged
+    approximate.
     """
     if graph.n == 0:
         return IndependentSetResult(frozenset(), True)
-    if graph.n > exact_limit:
+    if graph.n > MIS_EXACT_LIMIT:
         return IndependentSetResult(greedy_independent_set(graph), False)
 
     adj_masks = graph.bitmasks()
     static_order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
 
     greedy = greedy_independent_set(graph)
-
-    import sys
-
-    limit = sys.getrecursionlimit()
-    if limit < graph.n * 4 + 100:
-        sys.setrecursionlimit(graph.n * 4 + 100)
 
     def expand(cand: int, size: int, cur: int) -> None:
         nonlocal best_mask, best_size

@@ -116,6 +116,12 @@ class TestMetricsCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["phi"] == "2/3"
 
+    def test_conductance_beyond_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "p21.edges"
+        path.write_text("".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(20)))
+        assert main(["metrics", "conductance", "--in", str(path)]) == 2
+        assert "TooLarge" in capsys.readouterr().err
+
     def test_lambda(self, edgelist, capsys):
         assert main(["metrics", "lambda", "--in", str(edgelist)]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -182,6 +182,12 @@ class TestInferParams:
         params = infer_params(g, a, set(range(10)), set(), beta=0.1)
         assert params.delta == Fraction(2, 8)
 
+    def test_unknown_vertices_rejected(self):
+        g = complete_graph(4)
+        for grown in ({0, 1, -1}, {0, 1, 4}):
+            with pytest.raises(ValueError, match="unknown vertices"):
+                infer_params(g, {0, 1}, grown, set(), beta=0.25)
+
 
 class TestChecker:
     def test_empty_byzantine_set_passes_condition_three(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gpi.metrics as metrics
 from gpi.metrics import (
     Graph,
     InfeasibleDegree,
@@ -136,13 +137,17 @@ class TestConductance:
         with pytest.raises(TooLarge):
             conductance_exact(cycle_graph(25))
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
         rng = np.random.default_rng(7)
         for _ in range(40):
             g = random_graph(int(rng.integers(3, 9)), 0.5, rng)
             if not g.is_connected():
                 continue
-            assert conductance_exact(g).value == brute_conductance(g)
+            result = conductance_exact(g)
+            assert result.value == brute_conductance(g)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_SPLIT_BLOCK", 2)  # every graph spans several blocks
+                assert conductance_exact(g) == result
 
 
 class TestSpectrum:
@@ -275,8 +280,8 @@ class TestIndependentSets:
                 assert not (set(g.adj[u]) & result.vertices)
 
     def test_greedy_flagged_beyond_limit(self):
-        g = cycle_graph(12)
-        result = max_independent_set(g, exact_limit=8)
+        g = cycle_graph(42)
+        result = max_independent_set(g)
         assert not result.exact
         for u in result.vertices:
             assert not (set(g.adj[u]) & result.vertices)

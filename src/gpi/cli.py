@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as exc:
+    except (_Failure, sim.ExpanderViolation) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (ParseError, VerifyError) as exc:

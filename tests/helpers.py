@@ -561,3 +561,29 @@ def reference_slot_sigma(n: int, k: int, p: float, rounds: int, burn_in: int, se
             slots[expelled] = []
         sigma[row] = sybil_count / len(members)
     return float(sigma[burn_in:].mean())
+
+
+# ---------------------------------------------------------------------------
+# Graph oracles
+# ---------------------------------------------------------------------------
+
+def bf_greedy_independent_set(graph) -> frozenset[int]:
+    """Min-degree greedy by a full scan of the live vertices per pick.
+
+    The rule ``metrics.greedy_independent_set`` must reproduce: take the
+    live vertex minimising (degree, index), delete it and its live
+    neighbours, repeat.  Costs O(n) key calls per chosen vertex.
+    """
+    alive = set(range(graph.n))
+    degree = {v: graph.degree(v) for v in alive}
+    chosen: set[int] = set()
+    while alive:
+        v = min(alive, key=lambda u: (degree[u], u))
+        chosen.add(v)
+        removed = {v} | (set(graph.adj[v]) & alive)
+        alive -= removed
+        for u in removed:
+            for w in graph.adj[u]:
+                if w in alive:
+                    degree[w] -= 1
+    return frozenset(chosen)

@@ -8,8 +8,9 @@ import pytest
 
 from gpi.cli import main
 from gpi.ledger import write_log
+from gpi.metrics import MIS_EXACT_LIMIT, Graph
 
-from helpers import Scenario, noncanonical_probes, timing_scenarios
+from helpers import Scenario, bf_greedy_independent_set, noncanonical_probes, timing_scenarios
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +152,26 @@ class TestMetricsCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["size"] == 1 and out["exact"]
 
+    def test_mis_beyond_exact_limit_is_the_min_scan_greedy(self, tmp_path, capsys):
+        log, edges = tmp_path / "run.log", tmp_path / "run.edges"
+        assert main(["sim", "grow", "--n0", "30", "--p", "0.5", "--k", "3",
+                     "--sybil-rate", "0.5", "--steps", "300", "--burn-in", "30",
+                     "--seed", "2", "--out", str(tmp_path / "run.csv"),
+                     "--emit-ledger", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["ledger", "graph", str(log), "--type", "3"]) == 0
+        edges.write_text(capsys.readouterr().out)
+        graph = Graph.from_edgelist_lines(edges.read_text().splitlines())
+        assert graph.n > MIS_EXACT_LIMIT and graph.edge_count == graph.n - len(graph.components())
+        chosen = bf_greedy_independent_set(graph)
+        expected = json.dumps({
+            "size": len(chosen),
+            "exact": False,
+            "vertices": sorted(graph.labels[v] for v in chosen),
+        }) + "\n"
+        assert main(["metrics", "mis", "--in", str(edges)]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestCheckCommand:
     def test_theorem2_pass_and_expect_pass(self, tmp_path, capsys):
@@ -265,6 +286,14 @@ class TestSimCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
         assert out["bound"] == pytest.approx((0.3) ** 0.5, rel=1e-9)
+
+    def test_corollary1_missed_lambda_target_exits_one_in_one_line(self, capsys):
+        code = main(["sim", "corollary1", "--n", "10", "--d", "3",
+                     "--p", "0.5", "--lambda-target", "0.09"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "seed 0: measured lambda 0.6667 exceeds target 0.09\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -24,6 +24,8 @@ from gpi.metrics import (
     volume,
 )
 
+from helpers import bf_greedy_independent_set
+
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -288,6 +290,57 @@ class TestIndependentSets:
 
     def test_greedy_on_cycle_takes_alternate_vertices(self):
         assert greedy_independent_set(cycle_graph(6)) == {0, 2, 4}
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def random_forest(n: int, rng: np.random.Generator) -> Graph:
+    """Each vertex after the first joins a uniform earlier vertex or starts a tree."""
+    edges = [(int(rng.integers(v)), v) for v in range(1, n) if rng.random() < 0.85]
+    return Graph.from_edges(n, edges)
+
+
+class TestGreedyIndependentSet:
+    """The heap greedy picks exactly what the full min-scan picks."""
+
+    def test_empty_graph(self):
+        assert greedy_independent_set(Graph(0, [])) == frozenset()
+
+    def test_stars(self):
+        for leaves in (0, 1, 2, 5, 40):
+            g = star_graph(leaves)
+            assert greedy_independent_set(g) == bf_greedy_independent_set(g)
+
+    def test_random_forests(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 30, 120, 400):
+            g = random_forest(n, rng)
+            assert greedy_independent_set(g) == bf_greedy_independent_set(g)
+
+    def test_random_gnp(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            g = random_graph(n, float(rng.choice([0.02, 0.1, 0.3, 0.6, 0.9])), rng)
+            assert greedy_independent_set(g) == bf_greedy_independent_set(g)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_regular_backbones(self, seed):
+        g = generate_regular_expander(500, 300, seed).graph
+        assert greedy_independent_set(g) == bf_greedy_independent_set(g)
+
+    def test_long_paths_take_the_even_vertices(self):
+        # the min-scan would make about 10^8 key calls here
+        n = 20_000
+        path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        assert greedy_independent_set(path) == frozenset(range(0, n, 2))
+        # disjoint paths of even length, each starting at an even vertex
+        cuts = {0, 4_000, 4_002, 11_000, n}
+        edges = [(i, i + 1) for i in range(n - 1) if i + 1 not in cuts]
+        paths = Graph.from_edges(n, edges)
+        assert greedy_independent_set(paths) == frozenset(range(0, n, 2))
 
 
 class TestRegularGenerator:

@@ -20,17 +20,12 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, community, metrics, sim
 from .ledger import LedgerError, ParseError, VerifyError, read_log
 from .registry import DEFAULT_RESET_QUORUM, provenance_chains
 from .surety import graph_at
-
-
-class _Failure(Exception):
-    """Validation failure: reported on stderr, exit code 1."""
 
 
 def _sha256(path: Path) -> str:
@@ -71,9 +66,13 @@ def _load_graph(path: str) -> metrics.Graph:
         return metrics.Graph.from_edgelist_lines(fh)
 
 
-def _parse_ident_label(label: str) -> str:
-    # labels may be bare hex or scheme:hex; vertex matching uses the hex part
-    return label.rpartition(":")[2]
+def _read_object(path: str) -> dict:
+    """Load a JSON input file that must hold one object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +148,10 @@ def _cmd_ledger_graph(args: argparse.Namespace) -> int:
 def _cmd_metrics_conductance(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
     result = metrics.conductance_exact(graph)
-    labels = graph.labels or tuple(str(i) for i in range(graph.n))
     print(json.dumps({
         "phi": str(result.value),
         "phi_float": float(result.value),
-        "argmin": sorted(labels[v] for v in result.argmin),
+        "argmin": sorted(graph.labels[v] for v in result.argmin),
     }))
     return 0
 
@@ -174,11 +172,10 @@ def _cmd_metrics_lambda(args: argparse.Namespace) -> int:
 def _cmd_metrics_mis(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
     result = metrics.max_independent_set(graph)
-    labels = graph.labels or tuple(str(i) for i in range(graph.n))
     print(json.dumps({
         "size": len(result.vertices),
         "exact": result.exact,
-        "vertices": sorted(labels[v] for v in result.vertices),
+        "vertices": sorted(graph.labels[v] for v in result.vertices),
     }))
     return 0
 
@@ -187,38 +184,28 @@ def _cmd_metrics_mis(args: argparse.Namespace) -> int:
 # check theorem2
 # ---------------------------------------------------------------------------
 
-def _vertex_set(graph: metrics.Graph, labels: list[str]) -> frozenset[int]:
-    if graph.labels is None:
-        raise _Failure("graph has no labels")
-    index = {_parse_ident_label(lab): i for i, lab in enumerate(graph.labels)}
-    out = set()
-    for label in labels:
-        key = _parse_ident_label(label)
-        if key not in index:
-            raise _Failure(f"identifier {label!r} does not appear in the graph")
-        out.add(index[key])
-    return frozenset(out)
+def _label_list(path: str, raw: dict, key: str, default: list | None = None) -> list[str]:
+    labels = raw.get(key, default)
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{path}: {key!r} must be a list of label strings")
+    return labels
 
 
 def _cmd_check_theorem2(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    with open(args.community, "r", encoding="utf-8") as fh:
-        ids = json.load(fh)
-    with open(args.classification, "r", encoding="utf-8") as fh:
-        cls = json.load(fh)
-    with open(args.params, "r", encoding="utf-8") as fh:
-        raw_params = json.load(fh)
-    a = _vertex_set(graph, ids["community"])
-    grown = _vertex_set(graph, ids.get("grown", ids["community"]))
-    byzantine = _vertex_set(graph, cls.get("byzantine", []))
-    params = community.Theorem2Params(
-        d=int(raw_params["d"]),
-        alpha=Fraction(str(raw_params["alpha"])),
-        beta=Fraction(str(raw_params["beta"])),
-        gamma=Fraction(str(raw_params["gamma"])),
-        delta=Fraction(str(raw_params["delta"])),
+    ids = _read_object(args.community)
+    cls = _read_object(args.classification)
+    params = community.Theorem2Params.from_dict(_read_object(args.params))
+    members = _label_list(args.community, ids, "community")
+    grown = _label_list(args.community, ids, "grown", members)
+    byzantine = _label_list(args.classification, cls, "byzantine", [])
+    report = community.theorem2_check(
+        graph,
+        community.vertices_of(graph, members),
+        community.vertices_of(graph, grown),
+        params,
+        community.vertices_of(graph, byzantine),
     )
-    report = community.theorem2_check(graph, a, grown, params, byzantine)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
         manifest = _Manifest("check theorem2", {"params": params.to_dict()}, None)
@@ -239,10 +226,7 @@ def _cmd_check_theorem2(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_sim_grow(args: argparse.Namespace) -> int:
-    raw: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+    raw = _read_object(args.config) if args.config else {}
     for key in ("n0", "p", "k", "sybil_rate", "steps", "burn_in", "seed", "adversary"):
         value = getattr(args, key, None)
         if value is not None:
@@ -483,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_Failure, sim.ExpanderViolation) as exc:
+    except (community.UnknownLabel, sim.ExpanderViolation) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (ParseError, VerifyError) as exc:

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .keys import PublicIdentifier
 from .ledger import CommunityAdd, CommunityRemove, Ledger
@@ -39,7 +39,6 @@ from .metrics import (
     TooLarge,
     conductance_bounds,
     conductance_exact,
-    cut_size,
 )
 from .oracle import ClassificationReport
 from .registry import analyze
@@ -188,6 +187,9 @@ def penetration(
 # Growth-step checker
 # ---------------------------------------------------------------------------
 
+_RATIOS = ("alpha", "beta", "gamma", "delta")
+
+
 @dataclass(frozen=True)
 class Theorem2Params:
     """Degree bound and the four ratio parameters of the growth guarantee."""
@@ -199,25 +201,35 @@ class Theorem2Params:
     delta: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        for name in ("alpha", "beta", "gamma", "delta"):
-            value = getattr(self, name)
+        for name in _RATIOS:
+            value = Fraction(getattr(self, name))
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} must lie in [0,1], got {value}")
+            object.__setattr__(self, name, value)
         if self.d < 0:
-            raise ValueError("degree bound must be non-negative")
+            raise ValueError(f"degree bound d must be non-negative, got {self.d}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Theorem2Params":
+        """Exactly the five keys; ``d`` an integer, each ratio read from its text."""
+        unknown = set(raw) - {"d", *_RATIOS}
+        if unknown:
+            raise ValueError(f"unknown params keys: {sorted(unknown)}")
+        missing = [name for name in ("d", *_RATIOS) if name not in raw]
+        if missing:
+            raise ValueError(f"missing params keys: {missing}")
+        if type(raw["d"]) is not int:
+            raise ValueError(f"params key 'd' must be an integer, got {raw['d']!r}")
+        ratios = {}
+        for name in _RATIOS:
+            try:
+                ratios[name] = Fraction(str(raw[name]))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"params key {name!r} is not a ratio: {raw[name]!r}") from None
+        return cls(d=raw["d"], **ratios)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "gamma": float(self.gamma),
-            "delta": float(self.delta),
-        }
+        return {"d": self.d, **{name: float(getattr(self, name)) for name in _RATIOS}}
 
 
 @dataclass(frozen=True)
@@ -236,47 +248,51 @@ class ConditionReport:
     conductance_mode: str  # "exact" | "cheeger"
 
     def to_dict(self) -> dict:
-        return {
-            "conditions": [
-                {
-                    "index": c.index,
-                    "description": c.description,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.conditions
-            ],
-            "guarantee": self.guarantee,
-            "verdict": self.verdict,
-            "conductance_mode": self.conductance_mode,
-        }
+        return asdict(self)
 
 
-def byzantine_vertices(graph: Graph, report: ClassificationReport) -> frozenset[int]:
-    """Map a classification onto graph vertices via their labels.
+class UnknownLabel(LookupError):
+    """A label names no vertex of the graph."""
 
-    Labels are matched on the bare hex key, so edge lists (which carry hex
-    ids only) and classification dumps (scheme:hex) interoperate.
+
+def vertices_of(graph: Graph, labels: Iterable[str]) -> frozenset[int]:
+    """The vertices carrying ``labels``, matched on the hex key.
+
+    A label is bare hex or ``scheme:hex``; one the graph lacks raises
+    ``UnknownLabel``.
     """
     if graph.labels is None:
         raise ValueError("graph carries no labels to match identifiers against")
-    byz_hex = {v.key_bytes.hex() for v in report.byzantine}
+    index = {label.rpartition(":")[2]: v for v, label in enumerate(graph.labels)}
     out = set()
-    for idx, label in enumerate(graph.labels):
-        bare = label.rpartition(":")[2]
-        if bare in byz_hex:
-            out.add(idx)
+    for label in labels:
+        v = index.get(label.rpartition(":")[2])
+        if v is None:
+            raise UnknownLabel(f"identifier {label!r} does not appear in the graph")
+        out.add(v)
     return frozenset(out)
 
 
-def _internal_degree(graph: Graph, v: int, inside: AbstractSet[int]) -> int:
-    return sum(1 for w in graph.adj[v] if w in inside)
+@dataclass(frozen=True)
+class _Step:
+    """What the six conditions read off a step A -> A' with byzantine set B."""
+
+    size: int  # |A|
+    growth: int  # |A' \ A|
+    byzantine_in_a: int  # |A ∩ B|
+    max_degree: int  # over A'
+    min_internal: int  # least degree inside G|A' over A'
+    harmless_volume: int  # vol_{A'}(A' \ B)
+    boundary: int  # e(A' \ B, A' ∩ B)
 
 
-def _growth_step(
-    graph: Graph, community: AbstractSet[int], grown: AbstractSet[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The step community -> grown as frozensets, after checking it is one."""
+def _measure(
+    graph: Graph,
+    community: AbstractSet[int],
+    grown: AbstractSet[int],
+    byzantine: AbstractSet[int],
+) -> _Step:
+    """Check that community -> grown is a step of ``graph`` and measure it."""
     a = frozenset(community)
     a_next = frozenset(grown)
     if not a <= a_next:
@@ -285,7 +301,18 @@ def _growth_step(
         raise ValueError("grown community contains unknown vertices")
     if not a:
         raise EmptyCommunity("the initial community must be nonempty")
-    return a, a_next
+    byz_in = a_next.intersection(byzantine)
+    harmless = a_next - byz_in
+    internal = {v: sum(1 for w in graph.adj[v] if w in a_next) for v in a_next}
+    return _Step(
+        size=len(a),
+        growth=len(a_next - a),
+        byzantine_in_a=len(a & byz_in),
+        max_degree=max(graph.degree(v) for v in a_next),
+        min_internal=min(internal.values()),
+        harmless_volume=sum(internal[v] for v in harmless),
+        boundary=sum(1 for v in harmless for w in graph.adj[v] if w in byz_in),
+    )
 
 
 def theorem2_check(
@@ -295,34 +322,33 @@ def theorem2_check(
     params: Theorem2Params,
     byzantine: AbstractSet[int],
 ) -> ConditionReport:
-    """Evaluate the six growth conditions for the step community -> grown."""
-    a, a_next = _growth_step(graph, community, grown)
-    byz = frozenset(byzantine)
-    harmless_in = a_next - byz
-    byz_in = a_next & byz
+    """Evaluate the six growth conditions for the step community -> grown.
 
+    Conditions 1 to 5 compare the step's one measurement, the same one
+    ``infer_params`` returns as constants, with ``params``; condition 6
+    computes the conductance of the induced subgraph G|A'.
+    """
+    step = _measure(graph, community, grown, byzantine)
     results: list[ConditionResult] = []
 
-    max_deg = max(graph.degree(v) for v in a_next)
     results.append(
         ConditionResult(
             1,
             "degree bound over the grown community",
-            max_deg <= params.d,
-            f"max degree {max_deg} vs d={params.d}",
+            step.max_degree <= params.d,
+            f"max degree {step.max_degree} vs d={params.d}",
         )
     )
 
     if params.d > 0:
-        min_internal = min(_internal_degree(graph, v, a_next) for v in a_next)
-        cond2 = Fraction(min_internal, params.d) >= params.alpha
-        detail2 = f"min internal degree {min_internal}/{params.d} vs alpha={params.alpha}"
+        cond2 = Fraction(step.min_internal, params.d) >= params.alpha
+        detail2 = f"min internal degree {step.min_internal}/{params.d} vs alpha={params.alpha}"
     else:
         cond2 = params.alpha == 0
         detail2 = "degree bound is 0"
     results.append(ConditionResult(2, "internal degree floor", cond2, detail2))
 
-    byz_share = Fraction(len(a & byz), len(a))
+    byz_share = Fraction(step.byzantine_in_a, step.size)
     results.append(
         ConditionResult(
             3,
@@ -332,27 +358,24 @@ def theorem2_check(
         )
     )
 
-    sub, keep = graph.induced(a_next)
-    pos = {old: new for new, old in enumerate(keep)}
-    vol_h = sum(sub.degree(pos[v]) for v in harmless_in)
-    e_hb = cut_size(graph, harmless_in, byz_in)
+    gamma_vol = params.gamma * step.harmless_volume
     results.append(
         ConditionResult(
             4,
             "harmless-byzantine boundary is scarce",
-            Fraction(e_hb) <= params.gamma * vol_h,
-            f"e(H,B)={e_hb} vs gamma*vol={float(params.gamma * vol_h):.6g}",
+            step.boundary <= gamma_vol,
+            f"e(H,B)={step.boundary} vs gamma*vol={float(gamma_vol):.6g}",
         )
     )
 
-    growth = len(a_next - a)
-    cond5 = Fraction(growth) <= params.delta * len(a) and params.beta + params.delta <= Fraction(1, 2)
+    delta_size = params.delta * step.size
+    cond5 = step.growth <= delta_size and params.beta + params.delta <= Fraction(1, 2)
     results.append(
         ConditionResult(
             5,
             "growth step bounded and beta+delta <= 1/2",
             cond5,
-            f"|A'\\A|={growth}, delta*|A|={float(params.delta * len(a)):.6g}, "
+            f"|A'\\A|={step.growth}, delta*|A|={float(delta_size):.6g}, "
             f"beta+delta={float(params.beta + params.delta):.6g}",
         )
     )
@@ -363,6 +386,7 @@ def theorem2_check(
         detail6 = "conductance threshold undefined for alpha=0 or beta=0"
     else:
         threshold = (params.gamma / params.alpha) * (1 - params.beta) / params.beta
+        sub, _ = graph.induced(grown)
         try:
             phi = conductance_exact(sub).value
             cond6 = phi > threshold
@@ -403,25 +427,19 @@ def infer_params(
 ) -> Theorem2Params:
     """Tightest constants satisfying conditions 1, 2, 4 and 5; beta is yours.
 
-    Exact rationals are returned so the constants re-check cleanly.  The
-    step is validated as in ``theorem2_check``.
+    The constants are the step's one measurement, the same one
+    ``theorem2_check`` compares with its params, as exact rationals, so
+    they re-check cleanly.  The step is validated as in ``theorem2_check``.
     """
-    a, a_next = _growth_step(graph, community, grown)
-    byz = frozenset(byzantine)
-    d = max(graph.degree(v) for v in a_next)
-    if d > 0:
-        alpha = min(Fraction(_internal_degree(graph, v, a_next), d) for v in a_next)
-    else:
-        alpha = Fraction(0)
-    harmless_in = a_next - byz
-    byz_in = a_next & byz
-    sub, keep = graph.induced(a_next)
-    pos = {old: new for new, old in enumerate(keep)}
-    vol_h = sum(sub.degree(pos[v]) for v in harmless_in)
-    e_hb = cut_size(graph, harmless_in, byz_in)
-    gamma = Fraction(e_hb, vol_h) if vol_h else Fraction(0)
-    delta = Fraction(len(a_next - a), len(a))
-    return Theorem2Params(d=d, alpha=alpha, beta=Fraction(beta), gamma=gamma, delta=delta)
+    step = _measure(graph, community, grown, byzantine)
+    d = step.max_degree
+    return Theorem2Params(
+        d=d,
+        alpha=Fraction(step.min_internal, d) if d else Fraction(0),
+        beta=Fraction(beta),
+        gamma=Fraction(step.boundary, step.harmless_volume) if step.harmless_volume else Fraction(0),
+        delta=Fraction(step.growth, step.size),
+    )
 
 
 def theorem2_union_check(

@@ -119,22 +119,6 @@ class ClassificationReport:
     byzantine: frozenset[PublicIdentifier]
     harmless: frozenset[PublicIdentifier]
 
-    def to_json(self) -> str:
-        def labels(idents: frozenset[PublicIdentifier]) -> list[str]:
-            return sorted(v.label for v in idents)
-
-        return json.dumps(
-            {
-                "genuine": labels(self.genuine),
-                "sybils": labels(self.sybils),
-                "honest_agents": sorted(self.honest_agents),
-                "corrupt_agents": sorted(self.corrupt_agents),
-                "byzantine": labels(self.byzantine),
-                "harmless": labels(self.harmless),
-            },
-            indent=2,
-        )
-
 
 @dataclass
 class _OracleState:

@@ -118,6 +118,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("sim config must be a JSON object")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -217,6 +217,104 @@ class TestCheckCommand:
         assert code == 1
 
 
+def write_theorem2_inputs(directory: Path, edges: str, ids, cls, params) -> list[str]:
+    """Write the four ``check theorem2`` inputs; return their flags."""
+    files = {"graph": "g.edges", "community": "ids.json", "classification": "cls.json", "params": "params.json"}
+    (directory / files["graph"]).write_text(edges)
+    for key, value in (("community", ids), ("classification", cls), ("params", params)):
+        (directory / files[key]).write_text(json.dumps(value))
+    return [arg for key, name in files.items() for arg in (f"--{key}", str(directory / name))]
+
+
+K6_GOLDEN = {
+    "conditions": [
+        {"index": 1, "description": "degree bound over the grown community", "passed": True,
+         "detail": "max degree 5 vs d=5"},
+        {"index": 2, "description": "internal degree floor", "passed": True,
+         "detail": "min internal degree 5/5 vs alpha=1"},
+        {"index": 3, "description": "byzantine share of the initial community", "passed": True,
+         "detail": "|A\u2229B|/|A| = 0 vs beta=3/10"},
+        {"index": 4, "description": "harmless-byzantine boundary is scarce", "passed": True,
+         "detail": "e(H,B)=5 vs gamma*vol=5"},
+        {"index": 5, "description": "growth step bounded and beta+delta <= 1/2", "passed": True,
+         "detail": "|A'\\A|=1, delta*|A|=1, beta+delta=0.5"},
+        {"index": 6, "description": "induced conductance above threshold", "passed": True,
+         "detail": "Phi(G|A') = 3/5 vs threshold 0.466667 (exact)"},
+    ],
+    "guarantee": True,
+    "verdict": "pass",
+    "conductance_mode": "exact",
+}
+
+# (name, file, content, exit code, stderr line); "{path}" stands for the file
+THEOREM2_PROBES = [
+    ("community-list", "ids.json", ["a", "b"], 2, "ValueError: {path}: expected a JSON object"),
+    ("classification-list", "cls.json", ["a"], 2, "ValueError: {path}: expected a JSON object"),
+    ("params-list", "params.json", [1, 1.0, 0.4, 0.9, 0.2], 2, "ValueError: {path}: expected a JSON object"),
+    ("community-int-label", "ids.json", {"community": [1]}, 2,
+     "ValueError: {path}: 'community' must be a list of label strings"),
+    ("community-string", "ids.json", {"community": "ab"}, 2,
+     "ValueError: {path}: 'community' must be a list of label strings"),
+    ("params-missing-gamma", "params.json", {"d": 1, "alpha": 1.0, "beta": 0.4, "delta": 0.2}, 2,
+     "ValueError: missing params keys: ['gamma']"),
+    ("params-unknown-key", "params.json",
+     {"d": 1, "alpha": 1.0, "beta": 0.4, "gamma": 0.9, "delta": 0.2, "epsilon": 0.1}, 2,
+     "ValueError: unknown params keys: ['epsilon']"),
+    ("params-d-string", "params.json", {"d": "x", "alpha": 1.0, "beta": 0.4, "gamma": 0.9, "delta": 0.2}, 2,
+     "ValueError: params key 'd' must be an integer, got 'x'"),
+    ("params-d-bool", "params.json", {"d": True, "alpha": 1.0, "beta": 0.4, "gamma": 0.9, "delta": 0.2}, 2,
+     "ValueError: params key 'd' must be an integer, got True"),
+    ("params-ratio-above-one", "params.json", {"d": 1, "alpha": 2, "beta": 0.4, "gamma": 0.9, "delta": 0.2}, 2,
+     "ValueError: alpha must lie in [0,1], got 2"),
+    ("unknown-byzantine-label", "cls.json", {"byzantine": ["c"]}, 1,
+     "identifier 'c' does not appear in the graph"),
+]
+
+
+class TestJsonInputs:
+    def test_theorem2_golden_output_and_manifest(self, tmp_path, capsys):
+        labels = [f"v{i}" for i in range(6)]
+        flags = write_theorem2_inputs(
+            tmp_path,
+            "\n".join(f"v{i} v{j}" for i in range(6) for j in range(i + 1, 6)) + "\n",
+            {"community": labels[:5], "grown": labels},
+            {"byzantine": [labels[5]]},
+            {"d": 5, "alpha": 1.0, "beta": 0.3, "gamma": "1/5", "delta": 0.2},
+        )
+        out = tmp_path / "report.json"
+        assert main(["check", "theorem2", *flags, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == json.dumps(K6_GOLDEN, indent=2) + "\n"
+        assert out.read_text() == stdout
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        assert list(manifest["inputs"]) == flags[1::2]
+        assert manifest["config"] == {"params": {"d": 5, "alpha": 1.0, "beta": 0.3, "gamma": 0.2, "delta": 0.2}}
+
+    @pytest.mark.parametrize(
+        "name,content,code,line", [pytest.param(*row[1:], id=row[0]) for row in THEOREM2_PROBES]
+    )
+    def test_theorem2_malformed_input(self, name, content, code, line, tmp_path, capsys):
+        flags = write_theorem2_inputs(
+            tmp_path, "a b\n", {"community": ["a", "b"]}, {"byzantine": ["a"]},
+            {"d": 1, "alpha": 1.0, "beta": 0.4, "gamma": 0.9, "delta": 0.2},
+        )
+        bad = tmp_path / name
+        bad.write_text(json.dumps(content))
+        assert main(["check", "theorem2", *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.err == line.format(path=bad) + "\n"
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--seed", "1"]], ids=["file-only", "with-flag"])
+    def test_grow_config_that_is_not_an_object_exits_two(self, extra, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[1]")
+        assert main(["sim", "grow", "--config", str(config), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ValueError: {config}: expected a JSON object\n"
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestSimCommands:
     def test_steady_state_reports_root_bound_and_mean(self, capsys):
         code = main(["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10",

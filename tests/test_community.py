@@ -9,13 +9,14 @@ from gpi.community import (
     _CHECKPOINT_EVERY,
     EmptyCommunity,
     Theorem2Params,
-    byzantine_vertices,
+    UnknownLabel,
     history_from_ledger,
     infer_params,
     penetration,
     random_lemma_instance,
     theorem2_check,
     theorem2_union_check,
+    vertices_of,
 )
 from gpi.ledger import Ledger
 from gpi.metrics import Graph
@@ -283,4 +284,39 @@ class TestLabelMatching:
         report = classify(scenario.ledger, scenario.registry)
         labels = [scenario.ident("a").hex, scenario.ident("b").hex]
         g = Graph.from_edges(2, [(0, 1)], labels=labels)
-        assert byzantine_vertices(g, report) == {0, 1}
+        assert vertices_of(g, [v.label for v in report.byzantine]) == {0, 1}
+
+    def test_vertices_of_rejects_a_label_the_graph_lacks(self):
+        g = Graph.from_edges(2, [(0, 1)], labels=["aa", "bb"])
+        assert vertices_of(g, ["mock:bb", "aa"]) == {0, 1}
+        with pytest.raises(UnknownLabel, match="'mock:cc'"):
+            vertices_of(g, ["aa", "mock:cc"])
+
+
+class TestParamsFromDict:
+    RAW = {"d": 5, "alpha": 1.0, "beta": 0.3, "gamma": "1/5", "delta": 0.2}
+
+    def test_ratios_are_read_from_their_text(self):
+        params = Theorem2Params.from_dict(self.RAW)
+        assert params == Theorem2Params(
+            d=5, alpha=1, beta=Fraction(3, 10), gamma=Fraction(1, 5), delta=Fraction(1, 5)
+        )
+        assert Theorem2Params.from_dict(params.to_dict()) == params
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"gamma": None}, r"missing params keys: \['gamma'\]"),
+            ({"epsilon": 0}, r"unknown params keys: \['epsilon'\]"),
+            ({"d": 5.0}, "'d' must be an integer"),
+            ({"d": False}, "'d' must be an integer"),
+            ({"d": -1}, "d must be non-negative"),
+            ({"beta": "1/0"}, "'beta' is not a ratio"),
+            ({"beta": [0.1]}, "'beta' is not a ratio"),
+            ({"delta": 1.5}, r"delta must lie in \[0,1\]"),
+        ],
+    )
+    def test_bad_params_name_the_key(self, change, message):
+        raw = {key: value for key, value in {**self.RAW, **change}.items() if value is not None}
+        with pytest.raises(ValueError, match=message):
+            Theorem2Params.from_dict(raw)

@@ -108,6 +108,10 @@ class TestSimConfig:
         assert list(config.to_dict()) == ["n0", "p", "k", "sybil_rate", "steps", "burn_in", "seed", "adversary"]
         assert SimConfig.from_dict(config.to_dict()) == config
 
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            SimConfig.from_dict([1])
+
 
 class TestAgentSim:
     def config(self, **overrides) -> SimConfig:

@@ -67,9 +67,12 @@ def _load_graph(path: str) -> metrics.Graph:
 
 
 def _read_object(path: str) -> dict:
-    """Load a JSON input file that must hold one object."""
+    """Load a JSON input file that must hold one object; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or a file that is not UTF-8
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return raw

@@ -4,6 +4,11 @@ Identifiers are bare public keys tagged with the scheme that verifies them.
 Heterogeneous schemes are allowed as long as every scheme in use is
 registered, so verification of any event is always possible.
 
+An identifier is an immutable tuple ``(label, scheme_id, key_bytes)``, so
+hashing, equality and ordering run in C: two identifiers are equal iff
+their scheme and key bytes are, and they sort in ``label`` order.  Hex
+never contains ``:``, so the label ``scheme:hexkey`` determines the pair.
+
 Two schemes ship by default:
 
 ``ed25519``
@@ -22,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol
 
 
@@ -29,33 +35,38 @@ class UnknownScheme(KeyError):
     """Raised when an event names a signature scheme that is not registered."""
 
 
-@dataclass(frozen=True)
-class PublicIdentifier:
+class PublicIdentifier(tuple):
     """A public key declared (or declarable) as a personal identifier.
 
-    Equality and hashing are byte equality of ``(scheme_id, key_bytes)``.
+    The tuple ``(label, scheme_id, key_bytes)``, with the printable label
+    ``scheme:hexkey`` computed once.  Equality and hashing are those of the
+    tuple, i.e. byte equality of ``(scheme_id, key_bytes)``, and the
+    natural order is ``label`` order.  An identifier never equals a plain
+    ``(scheme_id, key_bytes)`` pair.
     """
 
-    scheme_id: str
-    key_bytes: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.key_bytes:
+    def __new__(cls, scheme_id: str, key_bytes: bytes) -> PublicIdentifier:
+        if not key_bytes:
             raise ValueError("identifier key bytes must be non-empty")
-        if not self.scheme_id:
+        if not scheme_id:
             raise ValueError("identifier scheme id must be non-empty")
+        return tuple.__new__(cls, (f"{scheme_id}:{key_bytes.hex()}", scheme_id, key_bytes))
+
+    label = property(itemgetter(0), doc="Printable ``scheme:hexkey`` form used in JSON interfaces.")
+    scheme_id = property(itemgetter(1))
+    key_bytes = property(itemgetter(2))
 
     @property
     def hex(self) -> str:
-        return self.key_bytes.hex()
+        return self[0][len(self[1]) + 1:]
 
-    @property
-    def label(self) -> str:
-        """Printable ``scheme:hexkey`` form used in JSON interfaces."""
-        return f"{self.scheme_id}:{self.key_bytes.hex()}"
+    def __getnewargs__(self) -> tuple[str, bytes]:  # so pickle and copy call __new__ with two fields
+        return self[1], self[2]
 
     def __repr__(self) -> str:  # keep failure output readable
-        return f"PublicIdentifier({self.scheme_id}:{self.key_bytes.hex()[:12]}…)"
+        return f"PublicIdentifier({self.scheme_id}:{self.hex[:12]}…)"
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from binascii import unhexlify
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar, Union
+from typing import Callable, Hashable, Iterable, Iterator, NoReturn, TypeVar, Union
 
 from .keys import KeyPair, PublicIdentifier, Signature, UnknownScheme, get_scheme
 
@@ -387,6 +389,86 @@ def serialize_log(ledger: Ledger) -> bytes:
     return "".join(_line(ev) + "\n" for ev in ledger).encode("utf-8")
 
 
+# A canonical line matches exactly one of these patterns, built from its
+# schema row: seq and int fields in the digits ``f"{n:d}"`` writes,
+# lowercase hex, and every scheme as a JSON string literal spelled with the
+# characters and escapes ``_quote`` writes (whether it is the literal
+# ``_quote`` writes for its value is checked once per distinct literal).
+_SEQ = rb"(0|[1-9][0-9]*)"
+_INT = rb"(0|-?[1-9][0-9]*)"
+_HEX = rb"([0-9a-f]*)"
+_STR = rb'("(?:[ !#-\[\]-~]|\\["\\bfnrt]|\\u[0-9a-f]{4})*")'
+_IDENT = rb'\{"scheme":' + _STR + rb',"key":"' + _HEX + rb'"\}'
+
+
+def _line_pattern(kind: _Kind) -> re.Pattern[bytes]:
+    payload = b",".join(
+        b'"%s":%s' % (key.encode(), _INT if is_int else _IDENT) for _, key, is_int in kind.fields
+    )
+    return re.compile(
+        rb'\{"seq":' + _SEQ + rb',"type":"' + kind.name.encode() + rb'","payload":\{' + payload
+        + rb'\},"signer":"' + _HEX + rb'","sig":"' + _HEX + rb'","scheme":' + _STR + rb'\}'
+    )
+
+
+_PATTERNS = {kind.name.encode(): (kind, _line_pattern(kind)) for kind in _SCHEMA}
+_TYPE_AT = b'"type":"'
+
+
+class _Reader:
+    """The canonical-line reader of one parse.
+
+    It keeps one identifier object per ``(scheme, key)`` for the whole
+    parse, so equal identifiers in the parsed ledger are the same object,
+    and the scheme each distinct literal denotes.
+    """
+
+    __slots__ = ("idents", "schemes")
+
+    def __init__(self) -> None:
+        self.idents: dict[tuple[bytes, bytes], PublicIdentifier] = {}
+        self.schemes: dict[bytes, str | None] = {}  # literal -> scheme, None if not canonical
+
+    def ident(self, literal: bytes, hexkey: bytes) -> PublicIdentifier:
+        """The identifier a matched scheme literal and key denote; ValueError if irregular."""
+        v = self.idents.get((literal, hexkey))
+        if v is None:
+            if literal not in self.schemes:
+                scheme = json.loads(literal)
+                self.schemes[literal] = scheme if _quote(scheme) == literal.decode() else None
+            scheme = self.schemes[literal]
+            if scheme is None:
+                raise ValueError("scheme literal is not canonical")
+            v = self.idents[literal, hexkey] = PublicIdentifier(scheme, unhexlify(hexkey))
+        return v
+
+    def read(self, raw: bytes, i: int) -> SignedEvent | None:
+        """The event of line ``raw`` at index ``i`` if the line is the
+        canonical line of a well-formed event, else None."""
+        at = raw.find(_TYPE_AT) + len(_TYPE_AT)
+        entry = _PATTERNS.get(raw[at:raw.find(b'"', at)])
+        if entry is None:
+            return None
+        kind, pattern = entry
+        match = pattern.fullmatch(raw)
+        if match is None or match[1] != b"%d" % i:
+            return None
+        groups = match.groups()
+        try:
+            values, g = [], 1
+            for _, _, is_int in kind.fields:
+                if is_int:
+                    values.append(int(groups[g]))
+                    g += 1
+                else:
+                    values.append(self.ident(groups[g], groups[g + 1]))
+                    g += 2
+            signer = self.ident(groups[g + 2], groups[g])
+            return SignedEvent(i, kind.cls(*values), signer, Signature(unhexlify(groups[g + 1])))
+        except (ValueError, EncodingError):
+            return None
+
+
 def _parse_ident(obj: object, line: int, field: str) -> PublicIdentifier:
     if not isinstance(obj, dict) or "scheme" not in obj or "key" not in obj:
         raise ParseError(line, f"payload field {field!r} is not an identifier object")
@@ -415,54 +497,69 @@ def _parse_body(rec: dict, line: int) -> EventBody:
         raise ParseError(line, str(exc)) from None
 
 
+def _diagnose(raw: bytes, i: int) -> NoReturn:
+    """Raise the ParseError that names what is wrong with line ``i + 1``.
+
+    Only called for a line that ``_Reader.read`` refused.  It decodes the
+    line with ``json.loads`` and checks the record field by field; a record
+    that passes every check is a well-formed event in a non-canonical
+    spelling, as the patterns cover the whole canonical grammar.
+    """
+    line = i + 1
+    try:
+        rec = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(line, "not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(line, f"bad JSON: {exc.msg}") from None
+    if not isinstance(rec, dict):
+        raise ParseError(line, "record is not an object")
+    for field in ("seq", "type", "payload", "signer", "sig", "scheme"):
+        if field not in rec:
+            raise ParseError(line, f"missing field {field!r}")
+    if rec["seq"] != i:
+        raise ParseError(line, f"expected seq {i}, got {rec['seq']!r}")
+    _parse_body(rec, line)
+    try:
+        PublicIdentifier(str(rec["scheme"]), bytes.fromhex(str(rec["signer"])))
+        bytes.fromhex(str(rec["sig"]))
+    except ValueError as exc:
+        raise ParseError(line, f"bad signer or signature hex: {exc}") from None
+    raise ParseError(line, "record is not in canonical form")
+
+
 def parse_log(data: bytes) -> Ledger:
     """Parse and re-verify a serialized log; only the canonical form parses.
 
     Every line must be exactly what ``serialize_log`` writes for the event
-    it denotes, so a log that parses re-serializes to the same bytes.
-    Signatures are re-verified (VerifyError names the failing seq, also for
-    an unregistered scheme) and so is the signer rule of every body that
-    names its signer; community add/remove events are checked
-    cryptographically only, as admin membership is append-time policy that
-    the file does not record.  Seq values must be dense from 0.  The
-    returned ledger has no admins; ``Ledger.with_admins`` sets them.
+    it denotes, so a log that parses re-serializes to the same bytes.  A
+    line is accepted only through the strict pattern of its event type
+    (``_Reader.read``), which covers the whole canonical grammar; any other
+    line is decoded with ``json.loads`` only to name the ParseError.  Every
+    mention of one ``(scheme, key)`` in the returned ledger is the same
+    identifier object.  Signatures are re-verified (VerifyError names the
+    failing seq, also for an unregistered scheme) and so is the signer rule
+    of every body that names its signer; community add/remove events are
+    checked cryptographically only, as admin membership is append-time
+    policy that the file does not record.  Seq values must be dense from 0.
+    The returned ledger has no admins; ``Ledger.with_admins`` sets them.
     """
     if data and not data.endswith(b"\n"):
         raise ParseError(data.count(b"\n") + 1, "missing final newline")
+    reader = _Reader()
     events: list[SignedEvent] = []
     for i, raw in enumerate(data.split(b"\n")[:-1]):
-        line = i + 1
-        try:
-            text = raw.decode("utf-8")
-            rec = json.loads(text)
-        except UnicodeDecodeError:
-            raise ParseError(line, "not UTF-8") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(line, f"bad JSON: {exc.msg}") from None
-        if not isinstance(rec, dict):
-            raise ParseError(line, "record is not an object")
-        for field in ("seq", "type", "payload", "signer", "sig", "scheme"):
-            if field not in rec:
-                raise ParseError(line, f"missing field {field!r}")
-        if rec["seq"] != i:
-            raise ParseError(line, f"expected seq {i}, got {rec['seq']!r}")
-        body = _parse_body(rec, line)
-        try:
-            signer = PublicIdentifier(str(rec["scheme"]), bytes.fromhex(str(rec["signer"])))
-            sig = Signature(bytes.fromhex(str(rec["sig"])))
-        except ValueError as exc:
-            raise ParseError(line, f"bad signer or signature hex: {exc}") from None
-        event = SignedEvent(i, body, signer, sig)
-        if _line(event) != text:
-            raise ParseError(line, "record is not in canonical form")
+        event = reader.read(raw, i)
+        if event is None:
+            _diagnose(raw, i)
         try:
             verified = verify_event(event)
         except UnknownScheme:
-            raise VerifyError(i, f"unknown signature scheme {signer.scheme_id!r}") from None
+            raise VerifyError(i, f"unknown signature scheme {event.signer.scheme_id!r}") from None
         if not verified:
             raise VerifyError(i)
-        required = required_signer(body)
-        if required is not None and signer != required:
+        required = required_signer(event.body)
+        if required is not None and event.signer != required:
             raise VerifyError(i, "signer does not match the identifier the body speaks for")
         events.append(event)
     return Ledger(events)

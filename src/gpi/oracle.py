@@ -256,18 +256,18 @@ def surety_violations(
 ) -> frozenset[tuple[int, str]]:
     """Violated pledge events of the given type, with the reason for each.
 
-    Runs the cached oracle pass (see the module docstring) and then scans
-    the ledger once: O(events).
+    Runs the cached oracle pass (see the module docstring) and then judges
+    the pledge events of that type, which the registry fold lists:
+    O(pledges of the type).
     """
     if surety_type not in (1, 2, 3, 4):
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
     state = _trace(ledger, registry, quorum_fraction)
     out = set()
-    for ev in ledger:
-        if isinstance(ev.body, Pledge) and ev.body.surety_type == surety_type:
-            reason = _pledge_violation_reason(state, registry, ev.body, surety_type)
-            if reason is not None:
-                out.add((ev.seq, reason))
+    for seq in state.analysis.pledge_seqs(surety_type):
+        reason = _pledge_violation_reason(state, registry, ledger[seq].body, surety_type)
+        if reason is not None:
+            out.add((seq, reason))
     return frozenset(out)
 
 

@@ -108,6 +108,7 @@ class _Fold:
         self.pledges: dict[int, dict[PublicIdentifier, dict[PublicIdentifier, int]]] = {
             1: {}, 2: {}, 3: {}, 4: {}
         }
+        self.pledge_seqs: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}  # every pledge event per type
         # mutual pairs per type, in the order they complete:
         # type -> {(u, v): (first seq of u -> v, first seq of v -> u)}, u -> v the later
         self.mutual: dict[int, dict[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]] = {
@@ -182,6 +183,7 @@ class _Fold:
                             del self.pending[body.target_v]
                             break
             elif isinstance(body, Pledge):
+                self.pledge_seqs[body.surety_type].append(seq)
                 per_type = self.pledges[body.surety_type]
                 per_from = per_type.setdefault(body.from_v, {})
                 if body.to_v not in per_from:  # duplicates collapse, earliest wins
@@ -267,7 +269,8 @@ class LedgerAnalysis:
     after the fold advances.  Each table's view is made on first use.
     The tables: ``intro``, ``introduced_at``, ``duplicates``, ``update_valid``,
     ``consumed``, ``first_child``, ``reset_at``, ``nullified_at``,
-    ``referenced_old`` and ``mutual``.  Pending resets are not exposed.
+    ``referenced_old`` and ``mutual``; ``pledge_seqs(t)`` lists the pledge
+    events of one type.  Pending resets are not exposed.
     """
 
     def __init__(self, fold: _Fold, k: int):
@@ -284,6 +287,11 @@ class LedgerAnalysis:
     @cached_property
     def duplicates(self) -> tuple[int, ...]:
         return tuple(self._fold.duplicates[: bisect_left(self._fold.duplicates, self._k)])
+
+    def pledge_seqs(self, surety_type: int) -> list[int]:
+        """Seqs of every pledge event of one type, duplicates included, in order."""
+        seqs = self._fold.pledge_seqs[surety_type]
+        return seqs[: bisect_left(seqs, self._k)]
 
     @cached_property
     def update_valid(self) -> Mapping[int, bool]:

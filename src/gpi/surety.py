@@ -31,7 +31,7 @@ Edge = tuple[PublicIdentifier, PublicIdentifier]
 
 
 def _ordered(u: PublicIdentifier, v: PublicIdentifier) -> Edge:
-    return (u, v) if u.label <= v.label else (v, u)
+    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class SuretyGraph:
     witness: Mapping[Edge, tuple[int, int]]
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=lambda e: (e[0].label, e[1].label))
+        """Edges sorted by their endpoints' labels, first endpoint first."""
+        return sorted(self.edges)
 
     def edgelist_lines(self) -> list[str]:
         """One ``hexid hexid`` pair per line, lexicographically sorted."""
@@ -67,10 +68,13 @@ def graph_at(
     a = analyze(ledger.prefix(k), quorum_fraction)
     vertices = frozenset(a.intro).difference(a.nullified_at)
     edges: dict[Edge, tuple[int, int]] = {}
-    for (u, v), (s_uv, s_vu) in a.mutual[surety_type].items():
+    for pair, witness in a.mutual[surety_type].items():
+        u, v = pair
         if u in vertices and v in vertices:
-            key = _ordered(u, v)
-            edges[key] = (s_uv, s_vu) if key == (u, v) else (s_vu, s_uv)
+            if u <= v:  # the fold's own pair and witness tuples, in edge order already
+                edges[pair] = witness
+            else:
+                edges[v, u] = witness[::-1]
     return SuretyGraph(
         surety_type=surety_type,
         prefix_k=k,

@@ -23,7 +23,7 @@ from gpi.ledger import (
     append_event,
     serialize_log,
 )
-from gpi.oracle import AgentRegistry
+from gpi.oracle import AgentRegistry, _pledge_violation_reason, _trace
 from gpi.registry import DEFAULT_RESET_QUORUM
 
 
@@ -426,6 +426,20 @@ def bf_classify(
     sybils = set(intro) - genuine
     corrupt = {registry.actor_of(intro[root_of(v)]) for v in sybils}
     return genuine, sybils, corrupt
+
+
+def bf_surety_violations(
+    ledger: Ledger, registry: AgentRegistry, surety_type: int, quorum=DEFAULT_RESET_QUORUM
+) -> frozenset[tuple[int, str]]:
+    """``surety_violations`` by a scan of every event: each pledge of the type, judged."""
+    state = _trace(ledger, registry, quorum)
+    out = set()
+    for ev in ledger:
+        if isinstance(ev.body, Pledge) and ev.body.surety_type == surety_type:
+            reason = _pledge_violation_reason(state, registry, ev.body, surety_type)
+            if reason is not None:
+                out.add((ev.seq, reason))
+    return frozenset(out)
 
 
 def bf_community_at(events: list[SignedEvent], k: int) -> frozenset[PublicIdentifier]:

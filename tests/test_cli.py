@@ -268,6 +268,11 @@ THEOREM2_PROBES = [
      "ValueError: alpha must lie in [0,1], got 2"),
     ("unknown-byzantine-label", "cls.json", {"byzantine": ["c"]}, 1,
      "identifier 'c' does not appear in the graph"),
+    # bytes are written as they are: a file that is not JSON at all
+    ("classification-not-json", "cls.json", b"not json", 2,
+     "ValueError: {path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("params-not-utf8", "params.json", b'{"d": "\xff"}', 2,
+     "ValueError: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
 ]
 
 
@@ -299,7 +304,7 @@ class TestJsonInputs:
             {"d": 1, "alpha": 1.0, "beta": 0.4, "gamma": 0.9, "delta": 0.2},
         )
         bad = tmp_path / name
-        bad.write_text(json.dumps(content))
+        bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
         assert main(["check", "theorem2", *flags]) == code
         captured = capsys.readouterr()
         assert captured.err == line.format(path=bad) + "\n"
@@ -312,6 +317,17 @@ class TestJsonInputs:
         assert main(["sim", "grow", "--config", str(config), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"ValueError: {config}: expected a JSON object\n"
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_grow_config_that_is_not_json_exits_two_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("{'seed': 1}")
+        assert main(["sim", "grow", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"ValueError: {config}: not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        )
         assert "Traceback" not in captured.out + captured.err
 
 

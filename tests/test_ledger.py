@@ -6,6 +6,7 @@ import pytest
 
 from gpi.keys import UnknownScheme, generate_keypair
 from gpi.ledger import (
+    _Reader,
     Declare,
     EncodingError,
     Ledger,
@@ -23,11 +24,52 @@ from gpi.ledger import (
     verify_event,
 )
 
-from helpers import noncanonical_probes
+from helpers import Scenario, noncanonical_probes
 
 
 def kp(tag: bytes, scheme: str = "mock"):
     return generate_keypair(scheme, tag)
+
+
+def split_probes() -> list[tuple[str, bytes, int, bool, str, str, int]]:
+    """Lines that the pattern reader reads or refuses, with the error each log gives.
+
+    Each entry is ``(name, data, index, read, error, reason, where)``: the
+    log, the index of its bad line, whether ``_Reader.read`` returns an event
+    for that line (a canonical line, refused only by verification) or hands
+    it to the diagnosis, and the exception name, reason and line (ParseError)
+    or seq (VerifyError) that ``parse_log`` must raise.
+    """
+    sc = Scenario()
+    sc.declare("a", "ha")
+    sc.declare("b", "hb")
+    sc.pledge(1, "a", "b", "ha")
+    lines = serialize_log(sc.ledger).split(b"\n")[:-1]
+    a_key, b_key = sc.ident("a").hex.encode(), sc.ident("b").hex.encode()
+
+    def log(index: int, line: bytes) -> bytes:
+        return b"".join((line if i == index else old) + b"\n" for i, old in enumerate(lines))
+
+    return [
+        ("scheme literal with an escape", log(1, lines[1].removesuffix(b'"mock"}') + b'"mo\\"ck"}'),
+         1, True, "VerifyError", "unknown signature scheme 'mo\"ck'", 1),
+        ("empty signature", log(1, lines[1].split(b'"sig":')[0] + b'"sig":"","scheme":"mock"}'),
+         1, True, "VerifyError", "signature does not verify", 1),
+        ("odd-length signer hex", log(1, lines[1].replace(b'"signer":"' + b_key, b'"signer":"' + b_key[:-1])),
+         1, False, "ParseError",
+         "bad signer or signature hex: non-hexadecimal number found in fromhex() arg at position 31", 2),
+        ("empty key", log(1, lines[1].replace(b'"key":"' + b_key + b'"', b'"key":""')),
+         1, False, "ParseError", "bad identifier in field 'v': identifier key bytes must be non-empty", 2),
+        ("self-pledge", log(2, lines[2].replace(b'"to":{"scheme":"mock","key":"' + b_key,
+                                                b'"to":{"scheme":"mock","key":"' + a_key)),
+         2, False, "ParseError", "a pledge to oneself is not allowed", 3),
+        ("seq 01", log(1, lines[1].replace(b'"seq":1', b'"seq":01')),
+         1, False, "ParseError", "bad JSON: Expecting ',' delimiter", 2),
+        ("surety_type -0", log(2, lines[2].replace(b'"surety_type":1', b'"surety_type":-0')),
+         2, False, "ParseError", "surety type must be 1..4, got 0", 3),
+        ("surety_type 01", log(2, lines[2].replace(b'"surety_type":1', b'"surety_type":01')),
+         2, False, "ParseError", "bad JSON: Expecting ',' delimiter", 3),
+    ]
 
 
 class TestAppend:
@@ -201,6 +243,18 @@ class TestSerialization:
         with pytest.raises((ParseError, VerifyError)) as err:
             parse_log(data)
         assert type(err.value).__name__ == error
+        assert (err.value.line if error == "ParseError" else err.value.seq) == where
+
+    @pytest.mark.parametrize(
+        "data,index,read,error,reason,where",
+        [pytest.param(*row[1:], id=row[0]) for row in split_probes()],
+    )
+    def test_pattern_and_diagnosis_split(self, data, index, read, error, reason, where):
+        line = data.split(b"\n")[index]
+        assert (_Reader().read(line, index) is not None) == read
+        with pytest.raises((ParseError, VerifyError)) as err:
+            parse_log(data)
+        assert (type(err.value).__name__, err.value.reason) == (error, reason)
         assert (err.value.line if error == "ParseError" else err.value.seq) == where
 
     def test_wrong_signer_rejected_at_parse(self):

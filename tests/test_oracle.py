@@ -7,11 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpi import oracle
-from gpi.ledger import Ledger, Pledge, Update
+from gpi.ledger import Ledger, Pledge, Update, parse_log, serialize_log
 from gpi.oracle import MissingActor, classify, pledge_violation, surety_violations
 from gpi.registry import DEFAULT_RESET_QUORUM
+from gpi.sim import SimConfig, run_agent_sim
 
-from helpers import Scenario, bf_classify, bf_intro_events, bf_update_valid, random_scenario
+from helpers import (
+    Scenario,
+    bf_classify,
+    bf_intro_events,
+    bf_surety_violations,
+    bf_update_valid,
+    random_scenario,
+)
 
 
 class TestClassify:
@@ -376,3 +384,32 @@ class TestTraceCache:
                 if data.draw(st.booleans()):
                     s = data.draw(st.sampled_from(sorted(registry.actor)))
                     registry.actor[s] = data.draw(st.sampled_from(agents))
+
+
+class TestSuretyViolationsReadPledgesOfTheirType:
+    """``surety_violations`` reads the fold's per-type pledge seqs; the scan of
+    every event in ``bf_surety_violations`` is the reference."""
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_the_full_scan_on_prefixes(self, seed, data):
+        sc = random_scenario(seed)
+        for _ in range(3):
+            k = data.draw(st.integers(0, len(sc.ledger)))
+            quorum = data.draw(st.sampled_from([DEFAULT_RESET_QUORUM, Fraction(1, 2)]))
+            value = sc.ledger.prefix(k)
+            for t in (1, 2, 3, 4):
+                assert surety_violations(value, sc.registry, t, quorum) == bf_surety_violations(
+                    value, sc.registry, t, quorum
+                )
+
+    def test_equal_to_the_full_scan_on_the_seed_7_log(self):
+        # the log of `gpi sim grow --n0 1000 --p 0.5 --k 20 --sybil-rate 0.5
+        # --steps 20000 --burn-in 2000 --seed 7 --emit-ledger`, read back from text
+        config = SimConfig(n0=1000, p=0.5, k=20, sybil_rate=0.5, steps=20000, burn_in=2000, seed=7)
+        result = run_agent_sim(config, emit_ledger=True)
+        ledger = parse_log(serialize_log(result.ledger))
+        assert len(ledger) == 91657
+        found = [surety_violations(ledger, result.registry, t) for t in (1, 2, 3, 4)]
+        assert found == [bf_surety_violations(ledger, result.registry, t) for t in (1, 2, 3, 4)]
+        assert sum(map(len, found)) > 0

@@ -52,6 +52,7 @@ class PublicIdentifier(tuple):
             raise ValueError("identifier key bytes must be non-empty")
         if not scheme_id:
             raise ValueError("identifier scheme id must be non-empty")
+        scheme_id.encode("utf-8")  # bodies sign it as UTF-8: a lone surrogate raises UnicodeEncodeError
         return tuple.__new__(cls, (f"{scheme_id}:{key_bytes.hex()}", scheme_id, key_bytes))
 
     label = property(itemgetter(0), doc="Printable ``scheme:hexkey`` form used in JSON interfaces.")

@@ -512,6 +512,10 @@ def _diagnose(raw: bytes, i: int) -> NoReturn:
         raise ParseError(line, "not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ParseError(line, f"bad JSON: {exc.msg}") from None
+    except ValueError:  # an integer literal past int's digit limit
+        raise ParseError(line, "bad JSON: integer literal too long") from None
+    except RecursionError:
+        raise ParseError(line, "bad JSON: nested too deeply") from None
     if not isinstance(rec, dict):
         raise ParseError(line, "record is not an object")
     for field in ("seq", "type", "payload", "signer", "sig", "scheme"):

@@ -24,7 +24,8 @@ the quantities the community checkers and simulations are built on:
 
 * a random d-regular graph generator that reports the measured lambda of
   each sample.  It pairs stubs and re-pairs the conflicting ones
-  (Steger-Wormald style), restarting when no simple edge remains; the
+  (Steger-Wormald style) in array passes over an n x n "taken" matrix,
+  restarting when every pair of conflict vertices is already an edge; the
   result is asymptotically uniform only for small d, not the uniform
   model.
 """
@@ -468,56 +469,54 @@ class RegularGraphSample:
     lam: float
 
 
-def _pairing_attempt(rng: np.random.Generator, n: int, d: int) -> set[tuple[int, int]] | None:
-    """One pass of the pairing model with conflict re-resolution."""
-    edges: set[tuple[int, int]] = set()
-    stubs = list(range(n)) * d
-    while stubs:
-        conflicts: dict[int, int] = {}
-        order = rng.permutation(len(stubs))
-        shuffled = [stubs[i] for i in order]
-        it = iter(shuffled)
-        for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
-            else:
-                conflicts[s1] = conflicts.get(s1, 0) + 1
-                conflicts[s2] = conflicts.get(s2, 0) + 1
-        if conflicts:
-            # if no remaining stub pair could form a new simple edge, give up
-            suitable = False
-            nodes = list(conflicts)
-            for i, s1 in enumerate(nodes):
-                for s2 in nodes[i:]:
-                    if s1 == s2:
-                        continue
-                    a, b = (s1, s2) if s1 < s2 else (s2, s1)
-                    if (a, b) not in edges:
-                        suitable = True
-                        break
-                if suitable:
-                    break
-            if not suitable:
-                return None
-        stubs = [node for node, count in conflicts.items() for _ in range(count)]
-    return edges
+def _pairing_attempt(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
+    """One run of the pairing model with conflict re-pairing, in array passes.
+
+    Returns the symmetric n x n boolean adjacency ("taken") matrix, or None
+    when the attempt gives up.  Each pass shuffles the remaining stubs with
+    one ``rng.permutation`` draw and pairs them off in order.  A pair becomes
+    an edge iff it is not a loop, its cell is not yet taken, and it is the
+    first pair with its code lo*n + hi in the pass: exactly the pairs that
+    adding one at a time to a growing edge set would keep.  The stubs of
+    every other pair go to the next pass, grouped by vertex in order of
+    first conflict.  The attempt gives up when every off-diagonal cell of
+    the conflict vertices' submatrix is taken, since no re-pairing of them
+    can then form a new simple edge.
+    """
+    taken = np.zeros((n, n), dtype=bool)
+    # the narrowest vertex dtype lets numpy's stable sorts run as radix sorts
+    stubs = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), d)
+    while stubs.size:
+        a, b = stubs[rng.permutation(stubs.size)].reshape(-1, 2).T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        fresh = np.flatnonzero((lo != hi) & ~taken[lo, hi])
+        by_code = fresh[np.lexsort((hi[fresh], lo[fresh]))]  # stable: ties keep pass order
+        new = by_code[np.diff(lo[by_code] * np.int64(n) + hi[by_code], prepend=-1) != 0]
+        taken[lo[new], hi[new]] = taken[hi[new], lo[new]] = True
+        conflict = np.delete(np.column_stack((lo, hi)), new, axis=0).ravel()
+        nodes, first, counts = np.unique(conflict, return_index=True, return_counts=True)
+        if nodes.size and np.count_nonzero(taken[nodes][:, nodes]) == nodes.size * (nodes.size - 1):
+            return None
+        order = np.argsort(first)
+        stubs = np.repeat(nodes[order], counts[order])
+    return taken
 
 
 def generate_regular_expander(n: int, d: int, seed: int = 0) -> RegularGraphSample:
     """Random d-regular simple graph with its measured lambda(G).
 
-    Deterministic per seed.  Raises InfeasibleDegree when n*d is odd or
-    d is outside 1 <= d < n.
+    Repeats ``_pairing_attempt`` (array passes; see there for the give-up
+    rule) on one GRAPH_GEN stream until an attempt completes, and reads the
+    graph off the rows of its taken matrix.  Deterministic per seed.
+    Raises InfeasibleDegree when n*d is odd or d is outside 1 <= d < n.
     """
     if not 1 <= d < n:
         raise InfeasibleDegree(f"need 1 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise InfeasibleDegree(f"n*d must be even, got n={n}, d={d}")
     rng = stream(seed, GRAPH_GEN)
-    edges = _pairing_attempt(rng, n, d)
-    while edges is None:
-        edges = _pairing_attempt(rng, n, d)
-    graph = Graph.from_edges(n, sorted(edges))
+    taken = _pairing_attempt(rng, n, d)
+    while taken is None:
+        taken = _pairing_attempt(rng, n, d)
+    graph = Graph(n, [np.flatnonzero(row).tolist() for row in taken])
     return RegularGraphSample(graph, second_eigenvalue(graph))

@@ -601,3 +601,49 @@ def bf_greedy_independent_set(graph) -> frozenset[int]:
                 if w in alive:
                     degree[w] -= 1
     return frozenset(chosen)
+
+
+def bf_pairing_attempt(rng: np.random.Generator, n: int, d: int) -> set[tuple[int, int]] | None:
+    """One pairing-model attempt, pairing the stubs one at a time.
+
+    The rule ``metrics._pairing_attempt`` must reproduce, draw for draw:
+    each pass shuffles the remaining stubs with one ``rng.permutation``
+    draw and pairs them off in order; a pair joins the growing edge set
+    unless it is a loop or already an edge, and otherwise both its stubs
+    are carried to the next pass, grouped by vertex in order of first
+    conflict.  Gives up (None) when no two distinct conflict vertices can
+    still form a new edge.
+    """
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        conflicts: dict[int, int] = {}
+        order = rng.permutation(len(stubs))
+        shuffled = [stubs[i] for i in order]
+        it = iter(shuffled)
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                conflicts[s1] = conflicts.get(s1, 0) + 1
+                conflicts[s2] = conflicts.get(s2, 0) + 1
+        if conflicts:
+            # if no remaining stub pair could form a new simple edge, give up
+            suitable = False
+            nodes = list(conflicts)
+            for i, s1 in enumerate(nodes):
+                for s2 in nodes[i:]:
+                    if s1 == s2:
+                        continue
+                    a, b = (s1, s2) if s1 < s2 else (s2, s1)
+                    if (a, b) not in edges:
+                        suitable = True
+                        break
+                if suitable:
+                    break
+            if not suitable:
+                return None
+        stubs = [node for node, count in conflicts.items() for _ in range(count)]
+    return edges

@@ -69,6 +69,13 @@ def split_probes() -> list[tuple[str, bytes, int, bool, str, str, int]]:
          2, False, "ParseError", "surety type must be 1..4, got 0", 3),
         ("surety_type 01", log(2, lines[2].replace(b'"surety_type":1', b'"surety_type":01')),
          2, False, "ParseError", "bad JSON: Expecting ',' delimiter", 3),
+        ("seq past the digit limit", log(0, lines[0].replace(b'"seq":0', b'"seq":' + b"1" * 5000)),
+         0, False, "ParseError", "bad JSON: integer literal too long", 1),
+        ("nested too deeply", log(0, b"[" * 100_000 + b"]" * 100_000),
+         0, False, "ParseError", "bad JSON: nested too deeply", 1),
+        ("lone surrogate scheme", log(0, lines[0].replace(b'"v":{"scheme":"mock"', b'"v":{"scheme":"\\ud800"')),
+         0, False, "ParseError", "bad identifier in field 'v': 'utf-8' codec can't encode character '\\ud800' "
+         "in position 0: surrogates not allowed", 1),
     ]
 
 

@@ -1,6 +1,8 @@
 """Graph metrics against independent brute-force and spectral oracles."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +25,9 @@ from gpi.metrics import (
     second_eigenvalue_signed,
     volume,
 )
+from gpi.rng import GRAPH_GEN, stream
 
-from helpers import bf_greedy_independent_set
+from helpers import bf_greedy_independent_set, bf_pairing_attempt
 
 
 def complete_graph(n: int) -> Graph:
@@ -343,7 +346,63 @@ class TestGreedyIndependentSet:
         assert greedy_independent_set(paths) == frozenset(range(0, n, 2))
 
 
+# the (n, d) pairs of acceptance criterion 7
+CRITERION_7_FAMILY = [(10, 3), (12, 3), (16, 4), (20, 3), (24, 4), (30, 3), (34, 4), (40, 3), (40, 5)]
+
+# sha256 of the JSON sorted edge list and lambda of generate_regular_expander(500, 300, seed),
+# as the sequential pairing draws them; a change of the seed -> draw mapping fails here
+BACKBONE_PINS = {
+    0: ("417b6e9e9b3b46ea6e14c62301802aac6f70e75b89b1fee247e8bd658964c136", 0.07389997191298814),
+    1: ("2d6c3582897b4f5e86bf73b4e9685b87bc3c8ea77bb3a13b0d82577838e68dd0", 0.07341474719161231),
+    2: ("b67f2edacd56f6f325a308a1d05b6414d191c08024e42d5080b08e96b3a0ebe0", 0.07456270315145164),
+    3: ("ec0b90c734253748b2ad1a8861ddc6e4bdeabf6f86e6b540e8e0062a3228a17a", 0.0743752303039053),
+}
+
+
+def pairing_attempts(attempt, n: int, d: int, seed: int, as_edges) -> list:
+    """Every attempt's edge set (None for a give-up) until one completes."""
+    rng = stream(seed, GRAPH_GEN)
+    out = [as_edges(attempt(rng, n, d))]
+    while out[-1] is None:
+        out.append(as_edges(attempt(rng, n, d)))
+    return out
+
+
+def taken_edges(taken: np.ndarray | None) -> set[tuple[int, int]] | None:
+    if taken is None:
+        return None
+    assert (taken == taken.T).all() and not taken.diagonal().any()
+    return {(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(taken)))}
+
+
 class TestRegularGenerator:
+    @pytest.mark.parametrize(
+        "n, d, seeds",
+        [
+            (500, 300, range(8)),
+            (500, 199, range(8)),
+            *((n, d, range(50)) for n, d in CRITERION_7_FAMILY),
+            (4, 3, range(10)),
+            (9, 8, range(10)),
+            (40, 39, range(10)),
+            (2, 1, range(5)),
+            (30, 1, range(5)),
+        ],
+    )
+    def test_array_passes_match_sequential_pairing(self, n, d, seeds):
+        for seed in seeds:
+            want = pairing_attempts(bf_pairing_attempt, n, d, seed, lambda edges: edges)
+            got = pairing_attempts(metrics._pairing_attempt, n, d, seed, taken_edges)
+            assert got == want, (n, d, seed)
+            assert all(len(e) == n * d // 2 for e in got if e is not None)
+
+    def test_backbones_are_pinned(self):
+        for seed, (digest, lam) in BACKBONE_PINS.items():
+            sample = generate_regular_expander(500, 300, seed)
+            edges = json.dumps(sorted(sample.graph.edges())).encode()
+            assert hashlib.sha256(edges).hexdigest() == digest, seed
+            assert sample.lam == lam, seed
+
     def test_regularity_and_determinism(self):
         s1 = generate_regular_expander(10, 3, seed=7)
         s2 = generate_regular_expander(10, 3, seed=7)

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .keys import KeyPair, PublicIdentifier, Signature, generate_keypair
+from .keys import KeyPair, PublicIdentifier, generate_keypair
 from .ledger import (
     CommunityAdd,
     CommunityRemove,
@@ -27,7 +27,6 @@ __all__ = [
     "__version__",
     "KeyPair",
     "PublicIdentifier",
-    "Signature",
     "generate_keypair",
     "CommunityAdd",
     "CommunityRemove",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__, community, metrics, sim
 from .ledger import LedgerError, ParseError, VerifyError, read_log
-from .registry import DEFAULT_RESET_QUORUM, provenance_chains
+from .registry import provenance_chains
 from .surety import graph_at
 
 
@@ -84,7 +84,7 @@ def _read_object(path: str) -> dict:
 
 def _cmd_ledger_validate(args: argparse.Namespace) -> int:
     ledger = read_log(args.file)
-    chains = provenance_chains(ledger, args.quorum)
+    chains = provenance_chains(ledger)
     summary = {
         "ok": True,
         "events": len(ledger),
@@ -108,7 +108,7 @@ def _chain_dict(chain) -> dict:
 
 def _cmd_ledger_chains(args: argparse.Namespace) -> int:
     ledger = read_log(args.file)
-    chains = provenance_chains(ledger, args.quorum)
+    chains = provenance_chains(ledger)
     print(json.dumps({"chains": [_chain_dict(c) for c in chains]}, indent=2))
     return 0
 
@@ -116,7 +116,7 @@ def _cmd_ledger_chains(args: argparse.Namespace) -> int:
 def _cmd_ledger_graph(args: argparse.Namespace) -> int:
     ledger = read_log(args.file)
     at = len(ledger) if args.at is None else args.at
-    graph = graph_at(ledger, at, args.type, args.quorum)
+    graph = graph_at(ledger, at, args.type)
     if args.format == "edgelist":
         text = "\n".join(graph.edgelist_lines())
         text = text + "\n" if text else ""
@@ -371,12 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ledger_sub.add_parser("validate", help="parse, re-verify and summarize a log")
     p.add_argument("file")
-    p.add_argument("--quorum", type=float, default=float(DEFAULT_RESET_QUORUM))
     p.set_defaults(func=_cmd_ledger_validate)
 
     p = ledger_sub.add_parser("chains", help="dump provenance chains as JSON")
     p.add_argument("file")
-    p.add_argument("--quorum", type=float, default=float(DEFAULT_RESET_QUORUM))
     p.set_defaults(func=_cmd_ledger_chains)
 
     p = ledger_sub.add_parser("graph", help="derive a surety graph")
@@ -384,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--at", type=int, default=None, help="prefix length (default: full log)")
     p.add_argument("--format", choices=("edgelist", "json", "dot"), default="edgelist")
-    p.add_argument("--quorum", type=float, default=float(DEFAULT_RESET_QUORUM))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ledger_graph)
 

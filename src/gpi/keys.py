@@ -71,11 +71,6 @@ class PublicIdentifier(tuple):
 
 
 @dataclass(frozen=True)
-class Signature:
-    sig_bytes: bytes
-
-
-@dataclass(frozen=True)
 class KeyPair:
     public: PublicIdentifier
     secret: bytes

@@ -38,7 +38,7 @@ from binascii import unhexlify
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, NoReturn, TypeVar, Union
 
-from .keys import KeyPair, PublicIdentifier, Signature, UnknownScheme, get_scheme
+from .keys import KeyPair, PublicIdentifier, UnknownScheme, get_scheme
 
 
 class LedgerError(Exception):
@@ -206,7 +206,7 @@ class SignedEvent:
     seq: int
     body: EventBody
     signer: PublicIdentifier
-    signature: Signature
+    signature: bytes
 
 
 def verify_event(event: SignedEvent) -> bool:
@@ -215,9 +215,7 @@ def verify_event(event: SignedEvent) -> bool:
     Raises UnknownScheme if the signer's scheme is not registered.
     """
     scheme = get_scheme(event.signer.scheme_id)
-    return scheme.verify(
-        event.signer.key_bytes, encode_body(event.body), event.signature.sig_bytes
-    )
+    return scheme.verify(event.signer.key_bytes, encode_body(event.body), event.signature)
 
 
 _Derived = TypeVar("_Derived")
@@ -351,7 +349,7 @@ def append_event(ledger: Ledger, body: EventBody, signer_key_pair: KeyPair) -> L
     # never store anything that does not verify (same check as verify_event)
     if not scheme.verify(public.key_bytes, message, sig):
         raise SignerMismatch("produced signature failed verification")
-    return ledger._appended(SignedEvent(len(ledger), body, public, Signature(sig)))
+    return ledger._appended(SignedEvent(len(ledger), body, public, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,7 @@ def _line(ev: SignedEvent) -> str:
     )
     return (
         f'{{"seq":{ev.seq:d},"type":"{kind.name}","payload":{{{payload}}},'
-        f'"signer":"{ev.signer.key_bytes.hex()}","sig":"{ev.signature.sig_bytes.hex()}",'
+        f'"signer":"{ev.signer.key_bytes.hex()}","sig":"{ev.signature.hex()}",'
         f'"scheme":{_quote(ev.signer.scheme_id)}}}'
     )
 
@@ -464,7 +462,7 @@ class _Reader:
                     values.append(self.ident(groups[g], groups[g + 1]))
                     g += 2
             signer = self.ident(groups[g + 2], groups[g])
-            return SignedEvent(i, kind.cls(*values), signer, Signature(unhexlify(groups[g + 1])))
+            return SignedEvent(i, kind.cls(*values), signer, unhexlify(groups[g + 1]))
         except (ValueError, EncodingError):
             return None
 
@@ -525,10 +523,14 @@ def _diagnose(raw: bytes, i: int) -> NoReturn:
         raise ParseError(line, f"expected seq {i}, got {rec['seq']!r}")
     _parse_body(rec, line)
     try:
-        PublicIdentifier(str(rec["scheme"]), bytes.fromhex(str(rec["signer"])))
+        signer = bytes.fromhex(str(rec["signer"]))
         bytes.fromhex(str(rec["sig"]))
     except ValueError as exc:
         raise ParseError(line, f"bad signer or signature hex: {exc}") from None
+    try:
+        PublicIdentifier(str(rec["scheme"]), signer)
+    except ValueError as exc:  # UnicodeEncodeError included
+        raise ParseError(line, f"bad signer identifier: {exc}") from None
     raise ParseError(line, "record is not in canonical form")
 
 

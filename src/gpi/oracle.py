@@ -30,8 +30,8 @@ An identifier is byzantine if it is a sybil or the genuine identifier of
 a corrupt agent; the rest are harmless.
 
 Cost: that pass reads the cached registry fold (``registry.analyze``) and
-is O(identifiers).  Its result is cached per ledger backing and quorum,
-for one ledger length at a time, and is reused while the registry names
+is O(identifiers).  Its result is cached per ledger backing, for one
+ledger length at a time, and is reused while the registry names
 the same actor for every introduced seq, the only registry fact the pass
 reads.  So ``classify``, ``surety_violations`` and ``pledge_violation``
 on one ledger value share one pass; each later call pays an
@@ -45,11 +45,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .keys import PublicIdentifier
 from .ledger import Ledger, Pledge
-from .registry import DEFAULT_RESET_QUORUM, LedgerAnalysis, ProvenanceChain, analyze
+from .registry import LedgerAnalysis, ProvenanceChain, analyze
 
 
 class MissingActor(KeyError):
@@ -129,8 +128,8 @@ class _OracleState:
     declarer: dict[PublicIdentifier, str]  # rightful owner (actor of intro event)
 
 
-def _trace(ledger: Ledger, registry: AgentRegistry, quorum: Fraction | float) -> _OracleState:
-    """The oracle pass over ``ledger``, cached in one slot per backing and quorum.
+def _trace(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
+    """The oracle pass over ``ledger``, cached in one slot per backing.
 
     The slot holds ``(length, intro seqs, their actors, state)``.  ``_walk``
     reads nothing from the registry except ``actor_of(seq)`` for introduced
@@ -138,8 +137,7 @@ def _trace(ledger: Ledger, registry: AgentRegistry, quorum: Fraction | float) ->
     are unchanged; a missing actor or any edit walks again, which raises
     ``MissingActor`` or answers for the edited registry.
     """
-    q = Fraction(quorum)
-    slot = ledger.derived(("oracle", q.numerator, q.denominator), lambda: [None])
+    slot = ledger.derived("oracle", lambda: [None])
     if slot[0] is not None and slot[0][0] == len(ledger):
         _, seqs, actors, state = slot[0]
         try:
@@ -147,14 +145,14 @@ def _trace(ledger: Ledger, registry: AgentRegistry, quorum: Fraction | float) ->
                 return state
         except KeyError:
             pass
-    state = _walk(ledger, registry, q)
+    state = _walk(ledger, registry)
     seqs = tuple(state.analysis.introduced_at)
     slot[0] = (len(ledger), seqs, tuple(map(registry.actor.__getitem__, seqs)), state)
     return state
 
 
-def _walk(ledger: Ledger, registry: AgentRegistry, quorum: Fraction) -> _OracleState:
-    a = analyze(ledger, quorum)
+def _walk(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
+    a = analyze(ledger)
     sybils: set[PublicIdentifier] = set()
     corrupt: set[str] = set()
     dead_by: dict[str, float] = {}  # agent -> seq by which all its lineages so far are nullified
@@ -179,17 +177,13 @@ def _walk(ledger: Ledger, registry: AgentRegistry, quorum: Fraction) -> _OracleS
     return _OracleState(a, frozenset(sybils), frozenset(corrupt), last_fresh, declarer)
 
 
-def classify(
-    ledger: Ledger,
-    registry: AgentRegistry,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> ClassificationReport:
+def classify(ledger: Ledger, registry: AgentRegistry) -> ClassificationReport:
     """Split declared identifiers into genuine/sybil and derive agent status.
 
     Runs the cached oracle pass (see the module docstring) and then costs
     O(identifiers + agents).
     """
-    state = _trace(ledger, registry, quorum_fraction)
+    state = _trace(ledger, registry)
     declared = frozenset(state.declarer)
     genuine = declared - state.sybils
     agents = set(registry.agents) | set(registry.actor.values())
@@ -249,10 +243,7 @@ def _pledge_violation_reason(
 
 
 def surety_violations(
-    ledger: Ledger,
-    registry: AgentRegistry,
-    surety_type: int,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
+    ledger: Ledger, registry: AgentRegistry, surety_type: int
 ) -> frozenset[tuple[int, str]]:
     """Violated pledge events of the given type, with the reason for each.
 
@@ -262,7 +253,7 @@ def surety_violations(
     """
     if surety_type not in (1, 2, 3, 4):
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
-    state = _trace(ledger, registry, quorum_fraction)
+    state = _trace(ledger, registry)
     out = set()
     for seq in state.analysis.pledge_seqs(surety_type):
         reason = _pledge_violation_reason(state, registry, ledger[seq].body, surety_type)
@@ -271,13 +262,7 @@ def surety_violations(
     return frozenset(out)
 
 
-def pledge_violation(
-    ledger: Ledger,
-    registry: AgentRegistry,
-    seq: int,
-    as_type: int,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> str | None:
+def pledge_violation(ledger: Ledger, registry: AgentRegistry, seq: int, as_type: int) -> str | None:
     """Evaluate one pledge event under any cumulative criterion.
 
     Lets tests check that the criteria really nest: a pledge violated at
@@ -290,7 +275,7 @@ def pledge_violation(
     event = ledger[seq]
     if not isinstance(event.body, Pledge):
         raise ValueError(f"event {seq} is not a pledge")
-    state = _trace(ledger, registry, quorum_fraction)
+    state = _trace(ledger, registry)
     return _pledge_violation_reason(state, registry, event.body, as_type)
 
 

@@ -17,12 +17,12 @@ Conventions baked in:
 * A reset enters into effect once endorsements from a quorum of the
   target's mutual-surety neighbours (pledge types 2..4, counted at the
   reset's seq) have been logged after it; with no such neighbours the
-  reset is effective immediately.  The quorum fraction is configurable
-  and defaults to 2/3.
+  reset is effective immediately.  The quorum is the protocol constant
+  ``RESET_QUORUM`` = 2/3: of n neighbours, ceil(2n/3) must endorse.
 
 Every fact is stamped with the seq at which it became true, and an event's
-effect depends only on earlier events, so one fold per ledger backing and
-quorum (``analyze``) serves the ledger, each of its prefixes and the values
+effect depends only on earlier events, so one fold per ledger backing
+(``analyze``) serves the ledger, each of its prefixes and the values
 appended at its tip: a prefix reads the cached fold by seq comparison.
 Each fact is stored once (``LedgerAnalysis`` lists them); a pending reset is
 dropped once its target is nullified, as nothing after that changes it.
@@ -30,6 +30,7 @@ dropped once its target is nullified, as nothing after that changes it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from .ledger import (
     Update,
 )
 
-DEFAULT_RESET_QUORUM = Fraction(2, 3)
+RESET_QUORUM = Fraction(2, 3)
 
 NEVER_DECLARED = "never_declared"
 CURRENT = "current"
@@ -90,8 +91,7 @@ class _Fold:
     lists its facts in stamp order.
     """
 
-    def __init__(self, quorum: Fraction):
-        self.quorum = quorum
+    def __init__(self):
         self.length = 0  # events folded so far
         self.intro: dict[PublicIdentifier, int] = {}
         self.introduced_at: dict[int, PublicIdentifier] = {}
@@ -132,7 +132,6 @@ class _Fold:
 
     def advance(self, ledger: Ledger, k: int) -> None:
         """Fold the events of ``ledger`` from ``self.length`` up to seq ``k``."""
-        q = self.quorum
         for seq in range(self.length, k):
             body = ledger[seq].body
             if isinstance(body, Declare):
@@ -172,7 +171,7 @@ class _Fold:
                 if n == 0:  # effective at once; neighbours only grow, so no reset of v is pending
                     self.nullified_at[v] = seq
                 else:
-                    needed = -(-(q * n).numerator // (q * n).denominator)  # ceil(q*n)
+                    needed = math.ceil(RESET_QUORUM * n)
                     self.pending.setdefault(v, []).append((neighbors, needed, set()))
             elif isinstance(body, ResetEndorsement):
                 for neighbors, needed, endorsers in self.pending.get(body.target_v, ()):
@@ -325,17 +324,14 @@ class LedgerAnalysis:
         return MappingProxyType({t: _Cut(pairs, self._k, _by_first) for t, pairs in self._fold.mutual.items()})
 
 
-def analyze(ledger: Ledger, quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM) -> LedgerAnalysis:
+def analyze(ledger: Ledger) -> LedgerAnalysis:
     """Introduction, validity, reset and pledge state of ``ledger``.
 
-    One fold per backing and quorum serves the ledger, its prefixes and
-    the values appended at its tip: it is advanced to ``len(ledger)`` if it
-    has not got that far yet, then read through a view cut at that length.
+    One fold per backing serves the ledger, its prefixes and the values
+    appended at its tip: it is advanced to ``len(ledger)`` if it has not
+    got that far yet, then read through a view cut at that length.
     """
-    q = Fraction(quorum_fraction)
-    if not 0 < q <= 1:
-        raise ValueError("quorum fraction must lie in (0, 1]")
-    fold = ledger.derived(("registry", q.numerator, q.denominator), lambda: _Fold(q))
+    fold = ledger.derived("registry", _Fold)
     if fold.length < len(ledger):
         fold.advance(ledger, len(ledger))
     return LedgerAnalysis(fold, len(ledger))
@@ -355,15 +351,11 @@ def duplicate_declarations(ledger: Ledger) -> tuple[int, ...]:
     return analyze(ledger).duplicates
 
 
-def is_valid_update(
-    ledger: Ledger,
-    seq: int,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> bool:
+def is_valid_update(ledger: Ledger, seq: int) -> bool:
     event = ledger[seq]
     if not isinstance(event.body, Update):
         raise NotAnUpdate(f"event {seq} is {type(event.body).__name__}, not Update")
-    return analyze(ledger, quorum_fraction).update_valid.get(seq, False)
+    return analyze(ledger).update_valid.get(seq, False)
 
 
 def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
@@ -403,25 +395,19 @@ def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
     return chains
 
 
-def provenance_chains(
-    ledger: Ledger,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> list[ProvenanceChain]:
+def provenance_chains(ledger: Ledger) -> list[ProvenanceChain]:
     """Partition of all introduction events into lineages, oldest base last.
 
     Every introduced identifier appears in exactly one chain.  A chain is
     valid iff every one of its update links is valid; its current (tip)
     identifier is computed structurally either way.
     """
-    return _thread_chains(analyze(ledger, quorum_fraction))
+    return _thread_chains(analyze(ledger))
 
 
-def current_identifiers(
-    ledger: Ledger,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> frozenset[PublicIdentifier]:
+def current_identifiers(ledger: Ledger) -> frozenset[PublicIdentifier]:
     """Tips of maximal valid chains, minus identifiers nullified by reset."""
-    a = analyze(ledger, quorum_fraction)
+    a = analyze(ledger)
     chains = _thread_chains(a)
     return frozenset(
         c.current
@@ -430,13 +416,9 @@ def current_identifiers(
     )
 
 
-def reset_status(
-    ledger: Ledger,
-    v: PublicIdentifier,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> IdentifierStatus:
-    """Lineage-local state of one identifier under the given reset quorum."""
-    a = analyze(ledger, quorum_fraction)
+def reset_status(ledger: Ledger, v: PublicIdentifier) -> IdentifierStatus:
+    """Lineage-local state of one identifier."""
+    a = analyze(ledger)
     if v not in a.intro:
         return IdentifierStatus(v, NEVER_DECLARED)
     if v in a.nullified_at:  # only a reset nullifies

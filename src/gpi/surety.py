@@ -15,12 +15,11 @@ effective reset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .keys import PublicIdentifier
 from .ledger import Ledger
-from .registry import DEFAULT_RESET_QUORUM, ProvenanceChain, analyze
+from .registry import ProvenanceChain, analyze
 
 
 class InvalidChain(ValueError):
@@ -54,18 +53,13 @@ class SuretyGraph:
         return lines
 
 
-def graph_at(
-    ledger: Ledger,
-    k: int,
-    surety_type: int,
-    quorum_fraction: Fraction | float = DEFAULT_RESET_QUORUM,
-) -> SuretyGraph:
+def graph_at(ledger: Ledger, k: int, surety_type: int) -> SuretyGraph:
     """The type-X surety graph induced by the first ``k`` events."""
     if surety_type not in (1, 2, 3, 4):
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
     if not 0 <= k <= len(ledger):
         raise ValueError(f"prefix {k} out of range 0..{len(ledger)}")
-    a = analyze(ledger.prefix(k), quorum_fraction)
+    a = analyze(ledger.prefix(k))
     vertices = frozenset(a.intro).difference(a.nullified_at)
     edges: dict[Edge, tuple[int, int]] = {}
     for pair, witness in a.mutual[surety_type].items():

@@ -24,7 +24,6 @@ from gpi.ledger import (
     serialize_log,
 )
 from gpi.oracle import AgentRegistry, _pledge_violation_reason, _trace
-from gpi.registry import DEFAULT_RESET_QUORUM
 
 
 @dataclass
@@ -323,17 +322,12 @@ def bf_mutual_neighbors(
     return out
 
 
-def bf_nullified(
-    events: list[SignedEvent],
-    v: PublicIdentifier,
-    before: int,
-    quorum: Fraction = DEFAULT_RESET_QUORUM,
-) -> bool:
+def bf_nullified(events: list[SignedEvent], v: PublicIdentifier, before: int) -> bool:
     for ev in events[:before]:
         if not (isinstance(ev.body, Reset) and ev.body.old_v == v):
             continue
         neighbors = bf_mutual_neighbors(events, v, ev.seq)
-        needed_frac = Fraction(quorum) * len(neighbors)
+        needed_frac = Fraction(2, 3) * len(neighbors)  # the protocol's reset quorum
         needed = -(-needed_frac.numerator // needed_frac.denominator)
         if not neighbors:
             return True
@@ -429,10 +423,10 @@ def bf_classify(
 
 
 def bf_surety_violations(
-    ledger: Ledger, registry: AgentRegistry, surety_type: int, quorum=DEFAULT_RESET_QUORUM
+    ledger: Ledger, registry: AgentRegistry, surety_type: int
 ) -> frozenset[tuple[int, str]]:
     """``surety_violations`` by a scan of every event: each pledge of the type, judged."""
-    state = _trace(ledger, registry, quorum)
+    state = _trace(ledger, registry)
     out = set()
     for ev in ledger:
         if isinstance(ev.body, Pledge) and ev.body.surety_type == surety_type:

@@ -104,6 +104,16 @@ class TestLedgerCommands:
         capsys.readouterr()
         assert hashlib.sha256(pledged_log.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command", [["validate"], ["chains"], ["graph", "--type", "3"]], ids=lambda c: c[0])
+    def test_quorum_is_not_an_option(self, command, pledged_log, capsys):
+        # the reset quorum is the protocol constant 2/3
+        with pytest.raises(SystemExit) as err:
+            main(["ledger", command[0], str(pledged_log), *command[1:], "--quorum", "0.5"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "unrecognized arguments: --quorum 0.5" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestMetricsCommands:
     @pytest.fixture

@@ -12,7 +12,6 @@ from gpi.ledger import (
     Ledger,
     ParseError,
     Pledge,
-    Signature,
     SignedEvent,
     SignerMismatch,
     Update,
@@ -76,6 +75,13 @@ def split_probes() -> list[tuple[str, bytes, int, bool, str, str, int]]:
         ("lone surrogate scheme", log(0, lines[0].replace(b'"v":{"scheme":"mock"', b'"v":{"scheme":"\\ud800"')),
          0, False, "ParseError", "bad identifier in field 'v': 'utf-8' codec can't encode character '\\ud800' "
          "in position 0: surrogates not allowed", 1),
+        ("lone surrogate signer scheme", log(0, lines[0].removesuffix(b'"mock"}') + b'"\\ud800"}'),
+         0, False, "ParseError", "bad signer identifier: 'utf-8' codec can't encode character '\\ud800' "
+         "in position 0: surrogates not allowed", 1),
+        ("empty signer scheme", log(0, lines[0].removesuffix(b'"mock"}') + b'""}'),
+         0, False, "ParseError", "bad signer identifier: identifier scheme id must be non-empty", 1),
+        ("empty signer", log(0, lines[0].replace(b'"signer":"' + a_key, b'"signer":"')),
+         0, False, "ParseError", "bad signer identifier: identifier key bytes must be non-empty", 1),
     ]
 
 
@@ -165,9 +171,9 @@ class TestVerify:
         k1 = kp(b"a")
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         ev = ledger[0]
-        sig = bytearray(ev.signature.sig_bytes)
+        sig = bytearray(ev.signature)
         sig[0] ^= 1
-        assert not verify_event(SignedEvent(0, ev.body, ev.signer, Signature(bytes(sig))))
+        assert not verify_event(SignedEvent(0, ev.body, ev.signer, bytes(sig)))
 
     def test_unknown_scheme_raises(self):
         k1 = kp(b"a")

@@ -1,7 +1,5 @@
 """Ground-truth classification and surety violation detection."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from gpi import oracle
 from gpi.ledger import Ledger, Pledge, Update, parse_log, serialize_log
 from gpi.oracle import MissingActor, classify, pledge_violation, surety_violations
-from gpi.registry import DEFAULT_RESET_QUORUM
 from gpi.sim import SimConfig, run_agent_sim
 
 from helpers import (
@@ -283,14 +280,14 @@ class TestObservationOne:
         assert checked > 50  # the fuzzer must actually exercise cross-chain pledges
 
 
-def _answers(ledger: Ledger, registry, quorum=DEFAULT_RESET_QUORUM) -> tuple:
+def _answers(ledger: Ledger, registry) -> tuple:
     """``classify``, every ``surety_violations`` type and every pledge's
     ``pledge_violation`` at each type, on one ledger value."""
     pledges = [ev.seq for ev in ledger if isinstance(ev.body, Pledge)]
     return (
-        classify(ledger, registry, quorum),
-        [surety_violations(ledger, registry, t, quorum) for t in (1, 2, 3, 4)],
-        [pledge_violation(ledger, registry, s, t, quorum) for s in pledges for t in (1, 2, 3, 4)],
+        classify(ledger, registry),
+        [surety_violations(ledger, registry, t) for t in (1, 2, 3, 4)],
+        [pledge_violation(ledger, registry, s, t) for s in pledges for t in (1, 2, 3, 4)],
     )
 
 
@@ -302,9 +299,9 @@ class TestTraceCache:
         lengths: list[int] = []
         walk = oracle._walk
 
-        def counting_walk(ledger, registry, quorum):
+        def counting_walk(ledger, registry):
             lengths.append(len(ledger))
-            return walk(ledger, registry, quorum)
+            return walk(ledger, registry)
 
         monkeypatch.setattr(oracle, "_walk", counting_walk)
         return lengths
@@ -343,10 +340,9 @@ class TestTraceCache:
             with pytest.raises(MissingActor):
                 call()
 
-    def test_prefixes_and_quorums_never_share_a_walk(self, scenario):
+    def test_prefixes_never_share_a_walk(self, scenario):
         # h resets v with four mutual neighbours, two of which endorse: the
-        # reset is effective under quorum 1/2 (needs 2) but not 2/3 (needs 3),
-        # so h's later declaration w is a sybil under 2/3 only.
+        # reset needs 3 endorsements, so h's later declaration w is a sybil.
         scenario.declare("v", "h")
         for i in range(4):
             scenario.declare(f"n{i}", f"h{i}")
@@ -357,17 +353,10 @@ class TestTraceCache:
         scenario.declare("w", "h")
         ledger, registry = scenario.ledger, scenario.registry
         w = {scenario.ident("w")}
-        half = Fraction(1, 2)
-        before_w = ledger.prefix(len(ledger) - 1)
-        cases = [
-            (ledger, DEFAULT_RESET_QUORUM, w),
-            (before_w, DEFAULT_RESET_QUORUM, set()),
-            (ledger, half, set()),
-            (ledger.prefix(1), half, set()),
-        ]
-        for value, quorum, sybils in cases + cases[::-1] + cases[::2] + cases[1::2]:
-            assert classify(value, registry, quorum).sybils == sybils
-            assert _answers(value, registry, quorum) == _answers(Ledger(value.events), registry, quorum)
+        cases = [(ledger, w), (ledger.prefix(len(ledger) - 1), set())]
+        for value, sybils in cases + cases[::-1]:
+            assert classify(value, registry).sybils == sybils
+            assert _answers(value, registry) == _answers(Ledger(value.events), registry)
 
     @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=30, deadline=None)
@@ -377,10 +366,9 @@ class TestTraceCache:
         agents = sorted(registry.agents) + ["newcomer"]
         for _ in range(data.draw(st.integers(1, 8))):
             k = data.draw(st.integers(0, len(ledger)))
-            quorum = data.draw(st.sampled_from([DEFAULT_RESET_QUORUM, Fraction(1, 2)]))
             fresh = Ledger(ledger.events[:k])
             for _ in range(2):  # the second query reads the cache unless an actor changed
-                assert _answers(ledger.prefix(k), registry, quorum) == _answers(fresh, registry, quorum)
+                assert _answers(ledger.prefix(k), registry) == _answers(fresh, registry)
                 if data.draw(st.booleans()):
                     s = data.draw(st.sampled_from(sorted(registry.actor)))
                     registry.actor[s] = data.draw(st.sampled_from(agents))
@@ -396,12 +384,9 @@ class TestSuretyViolationsReadPledgesOfTheirType:
         sc = random_scenario(seed)
         for _ in range(3):
             k = data.draw(st.integers(0, len(sc.ledger)))
-            quorum = data.draw(st.sampled_from([DEFAULT_RESET_QUORUM, Fraction(1, 2)]))
             value = sc.ledger.prefix(k)
             for t in (1, 2, 3, 4):
-                assert surety_violations(value, sc.registry, t, quorum) == bf_surety_violations(
-                    value, sc.registry, t, quorum
-                )
+                assert surety_violations(value, sc.registry, t) == bf_surety_violations(value, sc.registry, t)
 
     def test_equal_to_the_full_scan_on_the_seed_7_log(self):
         # the log of `gpi sim grow --n0 1000 --p 0.5 --k 20 --sybil-rate 0.5

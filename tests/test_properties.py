@@ -13,7 +13,6 @@ from gpi.ledger import (
     Pledge,
     Reset,
     ResetEndorsement,
-    Signature,
     SignedEvent,
     Update,
     VerifyError,
@@ -125,7 +124,7 @@ class TestNoForgedEventAccepted:
     @settings(max_examples=200, deadline=None)
     def test_garbage_signatures_never_verify(self, item, signer_idx, noise):
         body, _ = item
-        event = SignedEvent(0, body, ident(signer_idx), Signature(noise))
+        event = SignedEvent(0, body, ident(signer_idx), noise)
         assert verify_event(event) is False
 
     @given(bodies(), st.integers(0, 255), st.integers(0, 31))
@@ -136,9 +135,9 @@ class TestNoForgedEventAccepted:
         ev = ledger[0]
         if byte_xor == 0:
             return
-        sig = bytearray(ev.signature.sig_bytes)
+        sig = bytearray(ev.signature)
         sig[position % len(sig)] ^= byte_xor
-        assert not verify_event(SignedEvent(0, ev.body, ev.signer, Signature(bytes(sig))))
+        assert not verify_event(SignedEvent(0, ev.body, ev.signer, bytes(sig)))
 
 
 class TestChainInvariants:

@@ -165,38 +165,48 @@ class TestResetStatus:
     def test_no_neighbors_nullified_immediately(self, scenario):
         scenario.declare("v", "h")
         scenario.reset("v", "h")
-        assert reset_status(scenario.ledger, scenario.ident("v"), 2 / 3).state == NULLIFIED
+        assert reset_status(scenario.ledger, scenario.ident("v")).state == NULLIFIED
 
-    def test_quorum_two_of_three(self, scenario):
-        self._with_neighbors(scenario, 3)
+    @pytest.mark.parametrize("n, needed", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 4), (6, 4)])
+    def test_quorum_two_of_three(self, scenario, n, needed):
+        # of n mutual neighbours, ceil(2n/3) distinct ones must endorse
+        self._with_neighbors(scenario, n)
         scenario.reset("v", "h")
-        scenario.endorse("v", "n0", "g0")
-        assert reset_status(scenario.ledger, scenario.ident("v"), 2 / 3).state == RESET_PENDING
-        scenario.endorse("v", "n1", "g1")
-        assert reset_status(scenario.ledger, scenario.ident("v"), 2 / 3).state == NULLIFIED
+        v = scenario.ident("v")
+        for i in range(needed + 1):
+            if i:
+                scenario.endorse("v", f"n{i - 1}", f"g{i - 1}")
+            ledger = scenario.ledger
+            assert reset_status(ledger, v).state == (NULLIFIED if i == needed else RESET_PENDING), i
+            assert bf_nullified(list(ledger), v, len(ledger)) == (i == needed), i
 
     def test_duplicate_endorsements_do_not_count_twice(self, scenario):
         self._with_neighbors(scenario, 3)
         scenario.reset("v", "h")
         scenario.endorse("v", "n0", "g0")
         scenario.endorse("v", "n0", "g0")
-        assert reset_status(scenario.ledger, scenario.ident("v"), 2 / 3).state == RESET_PENDING
+        assert reset_status(scenario.ledger, scenario.ident("v")).state == RESET_PENDING
 
     def test_non_neighbor_endorsements_ignored(self, scenario):
+        # 2 neighbours need 2 endorsements: two distinct outsiders plus one neighbour must not suffice
         self._with_neighbors(scenario, 2)
-        scenario.declare("outsider", "z")
+        scenario.declare("o0", "z0")
+        scenario.declare("o1", "z1")
         scenario.reset("v", "h")
-        scenario.endorse("v", "outsider", "z")
-        scenario.endorse("v", "outsider", "z")
-        assert reset_status(scenario.ledger, scenario.ident("v"), 1 / 2).state == RESET_PENDING
+        scenario.endorse("v", "o0", "z0")
+        scenario.endorse("v", "o1", "z1")
+        scenario.endorse("v", "n0", "g0")
+        ledger, v = scenario.ledger, scenario.ident("v")
+        assert reset_status(ledger, v).state == RESET_PENDING
+        assert not bf_nullified(list(ledger), v, len(ledger))
 
     def test_states_cover_lifecycle(self, scenario):
         scenario.declare("v1", "h")
         scenario.update("v2", "v1", "h")
         ledger = scenario.ledger
-        assert reset_status(ledger, scenario.ident("ghost"), 2 / 3).state == NEVER_DECLARED
-        assert reset_status(ledger, scenario.ident("v1"), 2 / 3).state == SUPERSEDED
-        assert reset_status(ledger, scenario.ident("v2"), 2 / 3).state == CURRENT
+        assert reset_status(ledger, scenario.ident("ghost")).state == NEVER_DECLARED
+        assert reset_status(ledger, scenario.ident("v1")).state == SUPERSEDED
+        assert reset_status(ledger, scenario.ident("v2")).state == CURRENT
 
     def test_type_one_pledges_do_not_count_toward_quorum(self, scenario):
         scenario.declare("v", "h")
@@ -204,7 +214,7 @@ class TestResetStatus:
         scenario.mutual_pledge(1, "v", "n0", "h", "g")
         scenario.reset("v", "h")
         # only type >= 2 neighbours matter, so the quorum is vacuous
-        assert reset_status(scenario.ledger, scenario.ident("v"), 2 / 3).state == NULLIFIED
+        assert reset_status(scenario.ledger, scenario.ident("v")).state == NULLIFIED
 
     def test_a_reset_once_effective_is_final(self, scenario):
         # two resets of v under different neighbour sets: {n0} needs 1, {n0, n1, n2} needs 2
@@ -261,7 +271,7 @@ class TestNullifiedMatchesBruteForce:
 
 
 class TestFoldCache:
-    """One registry fold per backing and quorum, shared read-only."""
+    """One registry fold per backing, shared read-only."""
 
     def _pending_reset(self, sc: Scenario) -> None:
         sc.declare("v", "h")
@@ -323,9 +333,9 @@ class TestFoldCache:
         built, folded = [], []
         init, advance = registry._Fold.__init__, registry._Fold.advance
 
-        def counting_init(self, quorum):
-            built.append(quorum)
-            init(self, quorum)
+        def counting_init(self):
+            built.append(self)
+            init(self)
 
         def counting_advance(self, ledger, k):
             folded.append((self.length, k))

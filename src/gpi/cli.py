@@ -5,8 +5,8 @@ derivation, spectral metrics, the growth-guarantee checker and the
 simulations.  Structured results go to JSON, time series to CSV, graphs
 to plain edge lists; every file-producing invocation also writes a
 ``<out>.manifest.json`` recording the resolved configuration, seed, tool
-version and input/output digests so runs can be reproduced bit-exactly
-(timestamps aside).
+version, the digest of every file it read and wrote, and when it started
+and finished, so runs can be reproduced bit-exactly (timestamps aside).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or I/O error.
 """
@@ -22,13 +22,15 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, community, metrics, sim
-from .ledger import LedgerError, ParseError, VerifyError, read_log
+from .ledger import LedgerError, ParseError, VerifyError, read_log, write_log
 from .registry import provenance_chains
 from .surety import graph_at
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -36,29 +38,35 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-class _Manifest:
-    def __init__(self, command: str, config: dict, seed: int | None):
-        self.data = {
-            "command": command,
-            "config": config,
-            "seed": seed,
-            "version": __version__,
-            "inputs": {},
-            "outputs": {},
-            "started": datetime.now(timezone.utc).isoformat(),
-            "finished": None,
-        }
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
-    def add_input(self, path: str | Path) -> None:
-        self.data["inputs"][str(path)] = _sha256(Path(path))
 
-    def add_output(self, path: str | Path) -> None:
-        self.data["outputs"][str(path)] = _sha256(Path(path))
+def _write_manifest(args: argparse.Namespace, beside: str, config: dict, seed: int | None,
+                    inputs: list[str], outputs: list[str]) -> None:
+    """Write ``<beside>.manifest.json`` for a command whose files all exist.
 
-    def write_alongside(self, out: str | Path) -> None:
-        self.data["finished"] = datetime.now(timezone.utc).isoformat()
-        path = Path(str(out) + ".manifest.json")
-        path.write_text(json.dumps(self.data, indent=2) + "\n")
+    It lists the SHA-256 of every file the command read and wrote; ``started``
+    is the time ``main`` took before the command ran.
+    """
+    manifest = {
+        "command": f"{args.command} {args.subcommand}",
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "inputs": {path: _sha256(path) for path in inputs},
+        "outputs": {path: _sha256(path) for path in outputs},
+        "started": args.started,
+        "finished": _now(),
+    }
+    Path(beside + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_graph(path: str) -> metrics.Graph:
@@ -134,11 +142,9 @@ def _cmd_ledger_graph(args: argparse.Namespace) -> int:
         body = "\n".join(f'  "{a.hex}" -- "{b.hex}";' for a, b in graph.sorted_edges())
         text = "graph sureties {\n" + body + ("\n" if body else "") + "}\n"
     if args.out:
-        manifest = _Manifest("ledger graph", {"type": args.type, "at": at, "format": args.format}, None)
-        manifest.add_input(args.file)
         Path(args.out).write_text(text)
-        manifest.add_output(args.out)
-        manifest.write_alongside(args.out)
+        _write_manifest(args, args.out, {"type": args.type, "at": at, "format": args.format}, None,
+                        [args.file], [args.out])
     else:
         sys.stdout.write(text)
     return 0
@@ -211,12 +217,9 @@ def _cmd_check_theorem2(args: argparse.Namespace) -> int:
     )
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
-        manifest = _Manifest("check theorem2", {"params": params.to_dict()}, None)
-        for p in (args.graph, args.community, args.classification, args.params):
-            manifest.add_input(p)
         Path(args.out).write_text(text)
-        manifest.add_output(args.out)
-        manifest.write_alongside(args.out)
+        _write_manifest(args, args.out, {"params": params.to_dict()}, None,
+                        [args.graph, args.community, args.classification, args.params], [args.out])
     sys.stdout.write(text)
     if args.expect_pass and not report.guarantee:
         print("guarantee not established", file=sys.stderr)
@@ -236,34 +239,23 @@ def _cmd_sim_grow(args: argparse.Namespace) -> int:
             raw[key] = value
     config = sim.SimConfig.from_dict(raw)
     result = sim.run_agent_sim(config, emit_ledger=args.emit_ledger is not None)
-    manifest = _Manifest("sim grow", config.to_dict(), config.seed)
-    if args.config:
-        manifest.add_input(args.config)
+    outputs = []
     if args.emit_ledger:
-        from .ledger import write_log
-
+        registry = args.emit_ledger + ".registry.json"
         write_log(args.emit_ledger, result.ledger)
-        Path(args.emit_ledger + ".registry.json").write_text(result.registry.to_json() + "\n")
-        manifest.add_output(args.emit_ledger)
+        Path(registry).write_text(result.registry.to_json() + "\n")
+        outputs += [args.emit_ledger, registry]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["round", "community_size", "sybil_count", "sigma", "num_components", "max_component"]
-            )
-            for i in range(config.steps):
-                writer.writerow([
-                    i,
-                    int(result.size_series[i]),
-                    int(result.sybil_series[i]),
-                    f"{result.sigma_series[i]:.9f}",
-                    int(result.component_count_series[i]),
-                    int(result.max_component_series[i]),
-                ])
-        manifest.add_output(args.out)
-        manifest.write_alongside(args.out)
-    elif args.emit_ledger:
-        manifest.write_alongside(args.emit_ledger)
+        header = ["round", "community_size", "sybil_count", "sigma", "num_components", "max_component"]
+        _write_csv(args.out, header, (
+            [i, int(result.size_series[i]), int(result.sybil_series[i]), f"{result.sigma_series[i]:.9f}",
+             int(result.component_count_series[i]), int(result.max_component_series[i])]
+            for i in range(config.steps)
+        ))
+        outputs.append(args.out)
+    if outputs:
+        _write_manifest(args, args.out or args.emit_ledger, config.to_dict(), config.seed,
+                        [args.config] if args.config else [], outputs)
     summary = {
         "time_avg_sigma": result.time_avg_sigma.mean,
         "time_avg_sybils": result.time_avg_sybils.mean,
@@ -298,23 +290,12 @@ def _cmd_sim_observation2(args: argparse.Namespace) -> int:
     for s in range(args.seeds):
         res = sim.capped_admission_sim(args.sigma_cap, args.steps, seed=args.seed + s, n0=args.n0)
         rows.append(res.penetration)
-    import numpy as np
-
-    stacked = np.vstack(rows)
-    per_step_mean = stacked.mean(axis=0)
+    per_step_mean = np.vstack(rows).mean(axis=0)
     if args.out:
-        manifest = _Manifest(
-            "sim observation2",
-            {"sigma_cap": args.sigma_cap, "steps": args.steps, "seeds": args.seeds, "n0": args.n0},
-            args.seed,
-        )
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "mean_penetration"])
-            for i, value in enumerate(per_step_mean):
-                writer.writerow([i, f"{value:.9f}"])
-        manifest.add_output(args.out)
-        manifest.write_alongside(args.out)
+        _write_csv(args.out, ["step", "mean_penetration"],
+                   ([i, f"{value:.9f}"] for i, value in enumerate(per_step_mean)))
+        config = {"sigma_cap": args.sigma_cap, "steps": args.steps, "seeds": args.seeds, "n0": args.n0}
+        _write_manifest(args, args.out, config, args.seed, [], [args.out])
     print(json.dumps({
         "sigma_cap": args.sigma_cap,
         "max_step_mean": float(per_step_mean.max()),
@@ -334,15 +315,10 @@ def _cmd_sim_corollary1(args: argparse.Namespace) -> int:
     )
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
-        manifest = _Manifest(
-            "sim corollary1",
-            {"n": args.n, "d": args.d, "p": args.p, "lambda_target": args.lambda_target,
-             "rounds": args.rounds, "seeds": args.seeds},
-            args.seed,
-        )
         Path(args.out).write_text(text)
-        manifest.add_output(args.out)
-        manifest.write_alongside(args.out)
+        config = {"n": args.n, "d": args.d, "p": args.p, "lambda_target": args.lambda_target,
+                  "rounds": args.rounds, "seeds": args.seeds}
+        _write_manifest(args, args.out, config, args.seed, [], [args.out])
     sys.stdout.write(text)
     if not report.ok:
         print("measured penetration exceeds the bound", file=sys.stderr)
@@ -354,11 +330,10 @@ def _cmd_sim_corollary1(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("GPI_JOBS", "1")))
-    except ValueError:
-        return 1
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=20000)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    # a string default goes through the type only when this subcommand parses
+    p.add_argument("--jobs", type=_positive_int, default=os.environ.get("GPI_JOBS", "1"),
+                   help="worker processes (default: $GPI_JOBS, else 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sim_corollary1)
 
@@ -465,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = _now()
     try:
         return args.func(args)
     except (community.UnknownLabel, sim.ExpanderViolation) as exc:

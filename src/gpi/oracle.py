@@ -100,7 +100,7 @@ class AgentRegistry:
         raw = json.loads(text)
         key_owner = {}
         for label, owners in raw.get("key_owner", {}).items():
-            scheme, _, hexkey = label.partition(":")
+            scheme, _, hexkey = label.rpartition(":")
             key_owner[PublicIdentifier(scheme, bytes.fromhex(hexkey))] = tuple(owners)
         return cls(
             agents=set(raw.get("agents", [])),

@@ -24,8 +24,12 @@ Every fact is stamped with the seq at which it became true, and an event's
 effect depends only on earlier events, so one fold per ledger backing
 (``analyze``) serves the ledger, each of its prefixes and the values
 appended at its tip: a prefix reads the cached fold by seq comparison.
-Each fact is stored once (``LedgerAnalysis`` lists them); a pending reset is
-dropped once its target is nullified, as nothing after that changes it.
+The fold keeps one seq-stamped table per kind of fact (``LedgerAnalysis``
+lists them).  Two of them index a fact another table holds too, so that it
+can be looked up from either side: ``introduced_at`` (seq -> identifier)
+inverts ``intro``, and ``mutual`` pairs the first seqs of the two directed
+pledges the fold also keeps per type.  A pending reset is dropped once its
+target is nullified, as nothing after that changes it.
 """
 
 from __future__ import annotations

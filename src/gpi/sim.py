@@ -507,7 +507,6 @@ def _expander_single(
     p: float,
     lambda_target: float,
     rounds: int,
-    burn_in: int,
     seed: int,
 ) -> ExpanderSeedOutcome:
     sample = generate_regular_expander(family.n, family.d, seed)
@@ -519,7 +518,7 @@ def _expander_single(
     # trace(P^2) = n/d gives lambda^2 >= (n-d)/(d(n-1)) >= 1/n^2, so k >= 1
     k = int(lam * family.n)
     result = run_agent_sim(
-        SimConfig(n0=family.n, p=p, k=k, sybil_rate=1.0, steps=rounds, burn_in=burn_in, seed=seed)
+        SimConfig(n0=family.n, p=p, k=k, sybil_rate=1.0, steps=rounds, burn_in=rounds // 10, seed=seed)
     )
     return ExpanderSeedOutcome(
         seed=seed,
@@ -540,7 +539,6 @@ def expander_bound_experiment(
     seeds: Sequence[int],
     lambda_target: float,
     rounds: int = 20000,
-    burn_in: int | None = None,
     jobs: int = 1,
 ) -> ExpanderExperimentReport:
     """Fixed expander backbone, adversarial sybil flood, measured penetration.
@@ -550,17 +548,16 @@ def expander_bound_experiment(
     backbone's n members are the honest community, and every candidate is
     a sybil spread over at most k = floor(lambda*n) components: that budget
     is all the backbone contributes (alpha(G) <= lambda*n), so each seed is
-    one ``run_agent_sim`` with ``sybil_rate = 1``.  Reported time-averaged
-    penetration is asserted against sqrt(lambda_target/p) by callers.
+    one ``run_agent_sim`` with ``sybil_rate = 1`` whose first ``rounds // 10``
+    rounds are burn-in.  Reported time-averaged penetration is asserted
+    against sqrt(lambda_target/p) by callers.
     """
     if not 0 < p <= 1:
         raise ConfigError("detection probability must lie in (0, 1]")
-    if burn_in is None:
-        burn_in = rounds // 10
-    if not 0 <= burn_in < rounds:
-        raise ConfigError("burn_in must satisfy 0 <= burn_in < rounds")
+    if rounds < 1:
+        raise ConfigError("rounds must be at least 1")
     bound = math.sqrt(lambda_target / p)
-    args = [(family, p, lambda_target, rounds, burn_in, s) for s in seeds]
+    args = [(family, p, lambda_target, rounds, s) for s in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = tuple(pool.map(_expander_worker, args))

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
+from gpi import cli, community, sim
 from gpi.cli import main
 from gpi.ledger import write_log
 from gpi.metrics import MIS_EXACT_LIMIT, Graph
@@ -433,6 +435,105 @@ class TestSimCommands:
              "--lambda-target", "0.9", "--p", "1.0"]
         )
         assert args.jobs == 3
+
+    @pytest.mark.parametrize(
+        "env,flags",
+        [("abc", []), ("0", []), ("-3", []), ("1", ["--jobs", "-2"]), ("abc", ["--jobs", "0"])],
+        ids=["env-abc", "env-0", "env-minus-3", "flag-minus-2", "flag-0"],
+    )
+    def test_jobs_must_be_a_positive_integer(self, env, flags, monkeypatch, capsys):
+        monkeypatch.setenv("GPI_JOBS", env)
+        with pytest.raises(SystemExit) as err:
+            main(["sim", "corollary1", "--n", "20", "--d", "4",
+                  "--lambda-target", "0.9", "--p", "1.0", *flags])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "argument --jobs: expected a positive integer" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_other_commands_ignore_jobs_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("GPI_JOBS", "abc")
+        assert main(["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "100"]) == 0
+        capsys.readouterr()
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _grow_case(*outputs: str):
+    def setup(tmp_path, log):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"n0": 25, "p": 0.5, "k": 2, "sybil_rate": 0.5,
+                                      "steps": 100, "burn_in": 10, "seed": 1}))
+        flags = {"csv": ["--out", str(tmp_path / "run.csv")], "log": ["--emit-ledger", str(tmp_path / "run.log")]}
+        return ["sim", "grow", "--config", str(config), *(f for o in outputs for f in flags[o])], [config]
+    return setup
+
+
+def _graph_case(tmp_path, log):
+    return ["ledger", "graph", str(log), "--type", "3", "--out", str(tmp_path / "g.edges")], [log]
+
+
+def _theorem2_case(tmp_path, log):
+    labels = [f"v{i}" for i in range(6)]
+    flags = write_theorem2_inputs(
+        tmp_path,
+        "\n".join(f"v{i} v{j}" for i in range(6) for j in range(i + 1, 6)) + "\n",
+        {"community": labels[:5], "grown": labels},
+        {"byzantine": [labels[5]]},
+        {"d": 5, "alpha": 1.0, "beta": 0.3, "gamma": "1/5", "delta": 0.2},
+    )
+    return ["check", "theorem2", *flags, "--out", str(tmp_path / "report.json")], [Path(f) for f in flags[1::2]]
+
+
+def _observation2_case(tmp_path, log):
+    return ["sim", "observation2", "--sigma-cap", "0.1", "--steps", "200", "--seeds", "2",
+            "--out", str(tmp_path / "o.csv")], []
+
+
+def _corollary1_case(tmp_path, log):
+    return ["sim", "corollary1", "--n", "60", "--d", "30", "--lambda-target", "0.4", "--p", "1.0",
+            "--rounds", "200", "--jobs", "1", "--out", str(tmp_path / "c.json")], []
+
+
+# (setup, module and name of the library call the command makes)
+MANIFEST_CASES = {
+    "ledger-graph": (_graph_case, cli, "graph_at"),
+    "check-theorem2": (_theorem2_case, community, "theorem2_check"),
+    "sim-grow-out": (_grow_case("csv"), sim, "run_agent_sim"),
+    "sim-grow-emit-ledger": (_grow_case("log"), sim, "run_agent_sim"),
+    "sim-grow-both": (_grow_case("log", "csv"), sim, "run_agent_sim"),
+    "sim-observation2": (_observation2_case, sim, "capped_admission_sim"),
+    "sim-corollary1": (_corollary1_case, sim, "expander_bound_experiment"),
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("case", list(MANIFEST_CASES))
+    def test_manifest_lists_every_file_and_brackets_the_command(self, case, pledged_log, tmp_path, monkeypatch,
+                                                                capsys):
+        setup, module, kernel = MANIFEST_CASES[case]
+        argv, inputs = setup(tmp_path, pledged_log)
+        calls = []
+        real = getattr(module, kernel)
+
+        def timed(*args, **kwargs):
+            calls.append(datetime.now(timezone.utc))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, kernel, timed)
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 0
+        capsys.readouterr()
+        created = set(tmp_path.iterdir()) - before
+        manifests = [p for p in created if p.name.endswith(".manifest.json")]
+        assert len(manifests) == 1 and calls
+        manifest = json.loads(manifests[0].read_text())
+        assert manifest["outputs"] == {str(p): _sha256(p) for p in sorted(created - set(manifests))}
+        assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
+        started, finished = (datetime.fromisoformat(manifest[key]) for key in ("started", "finished"))
+        assert started <= calls[0] and started <= finished
 
 
 class TestGoldenVectors:

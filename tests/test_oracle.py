@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpi import oracle
+from gpi.keys import PublicIdentifier
 from gpi.ledger import Ledger, Pledge, Update, parse_log, serialize_log
 from gpi.oracle import MissingActor, classify, pledge_violation, surety_violations
 from gpi.sim import SimConfig, run_agent_sim
@@ -108,6 +109,15 @@ class TestClassify:
             assert report.genuine == genuine, f"seed {seed}"
             assert report.sybils == sybils, f"seed {seed}"
             assert report.corrupt_agents == corrupt, f"seed {seed}"
+
+
+class TestAgentRegistryJson:
+    def test_a_scheme_id_with_a_colon_round_trips(self):
+        # hex never contains ":", so a label splits at its last one
+        registry = oracle.AgentRegistry(
+            agents={"h"}, key_owner={PublicIdentifier("x:y", b"\x01"): ("h",)}, actor={0: "h"}
+        )
+        assert oracle.AgentRegistry.from_json(registry.to_json()) == registry
 
 
 class TestViolations:

@@ -243,6 +243,15 @@ class TestExpanderExperiment:
         )
         assert report.bound == pytest.approx(math.sqrt(0.4 / 0.25))
 
+    @pytest.mark.parametrize("rounds", [0, -5])
+    def test_no_rounds_is_rejected_before_any_backbone(self, rounds, monkeypatch):
+        def sample(*args):
+            raise AssertionError("a backbone was sampled")
+
+        monkeypatch.setattr("gpi.sim.generate_regular_expander", sample)
+        with pytest.raises(ConfigError, match="rounds"):
+            expander_bound_experiment(ExpanderFamily(n=60, d=30), p=0.5, seeds=[1], lambda_target=0.4, rounds=rounds)
+
     def test_parallel_jobs_match_sequential(self):
         kwargs = dict(
             family=ExpanderFamily(n=60, d=30),
@@ -258,10 +267,9 @@ class TestExpanderExperiment:
     def test_matches_the_direct_slot_process_in_law(self):
         # the experiment runs the agent kernel; the k-slot process written
         # out directly, on independent draws, gives the same mean penetration
+        # over the experiment's burn-in of rounds // 10
         family, p, rounds, burn_in = ExpanderFamily(n=60, d=30), 0.5, 3000, 300
-        report = expander_bound_experiment(
-            family, p=p, seeds=range(40), lambda_target=0.4, rounds=rounds, burn_in=burn_in
-        )
+        report = expander_bound_experiment(family, p=p, seeds=range(40), lambda_target=0.4, rounds=rounds)
         kernel = np.array([o.time_avg_sigma for o in report.outcomes])
         direct = np.array(
             [reference_slot_sigma(family.n, o.k, p, rounds, burn_in, o.seed) for o in report.outcomes]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -233,10 +234,10 @@ def _cmd_check_theorem2(args: argparse.Namespace) -> int:
 
 def _cmd_sim_grow(args: argparse.Namespace) -> int:
     raw = _read_object(args.config) if args.config else {}
-    for key in ("n0", "p", "k", "sybil_rate", "steps", "burn_in", "seed", "adversary"):
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(sim.SimConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            raw[key] = value
+            raw[f.name] = value
     config = sim.SimConfig.from_dict(raw)
     result = sim.run_agent_sim(config, emit_ledger=args.emit_ledger is not None)
     outputs = []
@@ -269,9 +270,7 @@ def _cmd_sim_grow(args: argparse.Namespace) -> int:
 def _cmd_sim_steady_state(args: argparse.Namespace) -> int:
     root = sim.steady_state_root(args.n, args.p, args.k)
     bound = (args.n / (args.p * args.k)) ** 0.5
-    result = sim.run_markov_component(
-        args.n, args.p, args.k, args.steps, args.seed, args.burn_in
-    )
+    result = sim.run_markov_component(args.n, args.p, args.k, args.steps, args.seed)
     matched = sim.moment_matched_component_size(result, args.k)
     print(json.dumps({
         "analytic_root": root,
@@ -286,15 +285,13 @@ def _cmd_sim_steady_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim_observation2(args: argparse.Namespace) -> int:
-    rows = []
-    for s in range(args.seeds):
-        res = sim.capped_admission_sim(args.sigma_cap, args.steps, seed=args.seed + s, n0=args.n0)
-        rows.append(res.penetration)
+    rows = [sim.capped_admission_sim(args.sigma_cap, args.steps, args.seed + s).penetration
+            for s in range(args.seeds)]
     per_step_mean = np.vstack(rows).mean(axis=0)
     if args.out:
         _write_csv(args.out, ["step", "mean_penetration"],
                    ([i, f"{value:.9f}"] for i, value in enumerate(per_step_mean)))
-        config = {"sigma_cap": args.sigma_cap, "steps": args.steps, "seeds": args.seeds, "n0": args.n0}
+        config = {"sigma_cap": args.sigma_cap, "steps": args.steps, "seeds": args.seeds}
         _write_manifest(args, args.out, config, args.seed, [], [args.out])
     print(json.dumps({
         "sigma_cap": args.sigma_cap,
@@ -409,16 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sim_steady_state)
 
     p = sim_sub.add_parser("observation2", help="capped-probability admission stream")
     p.add_argument("--sigma-cap", dest="sigma_cap", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n0", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sim_observation2)
 
@@ -427,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda-target", dest="lambda_target", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=20000)
     # a string default goes through the type only when this subcommand parses

@@ -19,9 +19,10 @@ target beta:
     6. Phi(G|_{A'}) > (gamma/alpha) * (1-beta)/beta.
 
 All ratios are evaluated in exact rational arithmetic.  Condition 6 uses
-exact conductance on small grown sets; beyond the enumeration threshold
-the certified Cheeger bounds decide it conservatively, and the verdict
-becomes ``inconclusive`` when neither bound settles the inequality.
+exact conductance up to 20 vertices.  Beyond that it compares, exactly,
+the Cheeger bounds at the ends of ``metrics.lambda2_enclosure``, an
+interval certain to hold lambda_2 of G|A' (certifying nothing past 2,000
+vertices), and is ``inconclusive`` when the threshold lies between them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .ledger import CommunityAdd, CommunityRemove, Ledger
 from .metrics import (
     Graph,
     TooLarge,
-    conductance_bounds,
+    cheeger_bounds,
     conductance_exact,
+    lambda2_enclosure,
 )
 from .oracle import ClassificationReport
 from .registry import analyze
@@ -393,11 +395,12 @@ def theorem2_check(
             detail6 = f"Phi(G|A') = {phi} vs threshold {float(threshold):.6g} (exact)"
         except TooLarge:
             mode = "cheeger"
-            lower, upper = conductance_bounds(sub)
-            if Fraction(lower) > threshold:
+            lo, hi = lambda2_enclosure(sub)
+            lower, upper = cheeger_bounds(hi)[0], cheeger_bounds(lo)[1]
+            if (1 - Fraction(hi)) / 2 > threshold:
                 cond6 = True
                 detail6 = f"Cheeger lower bound {lower:.6g} > threshold {float(threshold):.6g}"
-            elif Fraction(upper) <= threshold:
+            elif 2 * (1 - Fraction(lo)) <= threshold**2:
                 cond6 = False
                 detail6 = f"Cheeger upper bound {upper:.6g} <= threshold {float(threshold):.6g}"
             else:

@@ -17,7 +17,10 @@ the quantities the community checkers and simulations are built on:
   non-principal eigenvalues of D^-1 A, and the signed second-largest
   eigenvalue feeds the Cheeger sandwich
 
-      (1 - lambda_2) / 2  <=  Phi(G)  <=  sqrt(2 (1 - lambda_2));
+      (1 - lambda_2) / 2  <=  Phi(G)  <=  sqrt(2 (1 - lambda_2)),
+
+  and ``lambda2_enclosure`` widens the computed lambda_2 into an interval
+  certain to hold it;
 
 * maximum independent sets, exact by branch and bound up to
   MIS_EXACT_LIMIT = 40 vertices and a min-degree greedy beyond that;
@@ -290,6 +293,11 @@ def _check_spectrum_input(graph: Graph) -> None:
         raise ValueError("the random-walk spectrum needs at least two vertices")
 
 
+def _dense_symmetrized(graph: Graph) -> np.ndarray:
+    scale = 1.0 / np.sqrt(graph.degrees.astype(float))
+    return graph.adjacency_matrix() * scale[:, None] * scale[None, :]
+
+
 def _rw_spectrum_extremes(graph: Graph) -> tuple[float, float]:
     """(smallest eigenvalue, second-largest eigenvalue) of D^-1 A.
 
@@ -299,14 +307,13 @@ def _rw_spectrum_extremes(graph: Graph) -> tuple[float, float]:
     D^-1/2 A D^-1/2, dense for moderate sizes and via sparse Lanczos from a
     fixed seeded start vector beyond that.
     """
-    scale = 1.0 / np.sqrt(graph.degrees.astype(float))
     if graph.n <= _DENSE_EIG_LIMIT:
-        sym = graph.adjacency_matrix() * scale[:, None] * scale[None, :]
-        w = np.linalg.eigvalsh(sym)
+        w = np.linalg.eigvalsh(_dense_symmetrized(graph))
         return float(w[0]), float(w[-2])
     import scipy.sparse as sp
     import scipy.sparse.linalg as spl
 
+    scale = 1.0 / np.sqrt(graph.degrees.astype(float))
     rows = [u for u in range(graph.n) for _ in graph.adj[u]]
     cols = [w for u in range(graph.n) for w in graph.adj[u]]
     data = scale[rows] * scale[cols]
@@ -346,9 +353,27 @@ def second_eigenvalue(graph: Graph) -> float:
     return rw_spectrum(graph)[0]
 
 
-def second_eigenvalue_signed(graph: Graph) -> float:
-    """The signed second-largest random-walk eigenvalue; see ``rw_spectrum``."""
-    return rw_spectrum(graph)[1]
+def lambda2_enclosure(graph: Graph) -> tuple[float, float]:
+    """An interval certain to hold lambda_2 (see ``rw_spectrum``) despite rounding.
+
+    On a connected graph of at most _DENSE_EIG_LIMIT vertices, ``eigh`` gives
+    eigenpairs (w, V) of S = D^-1/2 A D^-1/2, and lambda_2 lies within
+    ||S - V diag(w) V^T||_F + ||V^T V - I||_F + 8 n (n + 2) eps of w[-2]:
+    Weyl's theorem covers the first term, Ostrowski's the second (|w_i| <= 1),
+    and the third the rounding in S and in both products, whose entries are
+    at most 1 in modulus (||S||_2 = 1).  The interval is [1, 1] on a
+    disconnected graph, and [-1, 1], certifying nothing, beyond the dense limit.
+    """
+    _check_spectrum_input(graph)
+    if not graph.is_connected():
+        return 1.0, 1.0
+    if graph.n > _DENSE_EIG_LIMIT:
+        return -1.0, 1.0
+    sym = _dense_symmetrized(graph)
+    w, v = np.linalg.eigh(sym)
+    err = float(np.linalg.norm(sym - (v * w) @ v.T) + np.linalg.norm(v.T @ v - np.eye(graph.n)))
+    err += 8 * graph.n * (graph.n + 2) * float(np.finfo(float).eps)
+    return float(w[-2]) - err, float(w[-2]) + err
 
 
 def cheeger_bounds(lam2: float) -> tuple[float, float]:
@@ -359,7 +384,7 @@ def cheeger_bounds(lam2: float) -> tuple[float, float]:
 
 def conductance_bounds(graph: Graph) -> tuple[float, float]:
     """Cheeger sandwich of the graph's conductance; see ``cheeger_bounds``."""
-    return cheeger_bounds(second_eigenvalue_signed(graph))
+    return cheeger_bounds(rw_spectrum(graph)[1])
 
 
 # ---------------------------------------------------------------------------

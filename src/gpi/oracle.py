@@ -76,9 +76,6 @@ class AgentRegistry:
         except KeyError:
             raise MissingActor(seq) from None
 
-    def owners_of(self, v: PublicIdentifier) -> tuple[str, ...]:
-        return self.key_owner.get(v, ())
-
     def compromised_identifiers(self) -> frozenset[PublicIdentifier]:
         return frozenset(v for v, owners in self.key_owner.items() if len(owners) >= 2)
 
@@ -220,7 +217,7 @@ def _pledge_violation_reason(
     as_type: int,
 ) -> str | None:
     to_v = pledge.to_v
-    holders = registry.owners_of(to_v)
+    holders = registry.key_owner.get(to_v, ())
     if not holders:
         return "target-key-unheld"
     if as_type < 2:

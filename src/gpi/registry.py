@@ -345,16 +345,6 @@ def analyze(ledger: Ledger) -> LedgerAnalysis:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def first_declaration(ledger: Ledger, v: PublicIdentifier) -> int | None:
-    """Smallest seq of an event introducing ``v``, or None if absent."""
-    return analyze(ledger).intro.get(v)
-
-
-def duplicate_declarations(ledger: Ledger) -> tuple[int, ...]:
-    """Seqs of declaration events re-introducing an already-known identifier."""
-    return analyze(ledger).duplicates
-
-
 def is_valid_update(ledger: Ledger, seq: int) -> bool:
     event = ledger[seq]
     if not isinstance(event.body, Update):

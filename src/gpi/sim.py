@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -89,6 +90,10 @@ def _mean_with_error(series: np.ndarray) -> MeanWithError:
     return MeanWithError(mean, stderr)
 
 
+# what a JSON config value of each field annotation may be; a boolean is neither
+_JSON_TYPES = {"int": ("an integer", (int,)), "float": ("a number", (int, float)), "Strategy": ("a string", (str,))}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n0: int
@@ -126,6 +131,10 @@ class SimConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
+        for f in fields(cls):
+            kind, types = _JSON_TYPES[f.type]
+            if f.name in raw and type(raw[f.name]) not in types:
+                raise ConfigError(f"config key {f.name!r} must be {kind}, got {raw[f.name]!r}")
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -160,20 +169,12 @@ def moment_matched_component_size(result: MarkovChainResult, k: int) -> float:
     return (-1.0 / k + math.sqrt(1.0 / k**2 + 4.0 * rhs)) / 2.0
 
 
-def run_markov_component(
-    n: int,
-    p: float,
-    k: int,
-    steps: int,
-    seed: int,
-    burn_in: int | None = None,
-) -> MarkovChainResult:
-    """Simulate the scalar chain exactly; post-burn-in time average of x."""
-    if burn_in is None:
-        burn_in = steps // 10
-    if not 0 <= burn_in < steps:
-        raise ConfigError("burn_in must satisfy 0 <= burn_in < steps")
+def run_markov_component(n: int, p: float, k: int, steps: int, seed: int) -> MarkovChainResult:
+    """Simulate the scalar chain exactly; time average of x after the first tenth of the run."""
+    if steps < 1:
+        raise ConfigError("steps must be positive")
     steady_state_root(n, p, k)  # parameter validation
+    burn_in = steps // 10
     xs = np.empty(steps, dtype=np.int64)
     x = 0
     grow_base = 1.0 / k
@@ -421,22 +422,20 @@ class CappedAdmissionResult:
     mean: float
 
 
-def capped_admission_sim(
-    sigma_cap: float, steps: int, seed: int, n0: int = 1
-) -> CappedAdmissionResult:
-    """Admissions from a sybil-free start, each sybil with probability <= cap.
+def capped_admission_sim(sigma_cap: float, steps: int, seed: int) -> CappedAdmissionResult:
+    """Admissions to one honest member, each a sybil with probability <= cap.
 
-    Penetration after step t is (sybils so far) / (n0 + t + 1); with the
-    cap sigma the expected penetration of every snapshot stays <= sigma.
+    Penetration after step t (from 0) is (sybils so far) / (t + 2); with
+    the cap sigma the expected penetration of every snapshot stays <= sigma.
     """
     if not 0 <= sigma_cap <= 1:
         raise ConfigError("sigma_cap must lie in [0, 1]")
-    if n0 < 1 or steps < 1:
-        raise ConfigError("need n0 >= 1 and steps >= 1")
+    if steps < 1:
+        raise ConfigError("steps must be positive")
     rng = stream(seed, CAPPED_ADMISSION)
     draws = rng.random(steps) < sigma_cap
     counts = np.cumsum(draws)
-    sizes = n0 + np.arange(1, steps + 1)
+    sizes = np.arange(2, steps + 2)
     series = counts / sizes
     return CappedAdmissionResult(series, float(series.mean()))
 
@@ -529,10 +528,6 @@ def _expander_single(
     )
 
 
-def _expander_worker(args: tuple) -> ExpanderSeedOutcome:
-    return _expander_single(*args)
-
-
 def expander_bound_experiment(
     family: ExpanderFamily,
     p: float,
@@ -556,14 +551,16 @@ def expander_bound_experiment(
         raise ConfigError("detection probability must lie in (0, 1]")
     if rounds < 1:
         raise ConfigError("rounds must be at least 1")
+    if not seeds:
+        raise ConfigError("need at least one seed")
     bound = math.sqrt(lambda_target / p)
-    args = [(family, p, lambda_target, rounds, s) for s in seeds]
+    single = partial(_expander_single, family, p, lambda_target, rounds)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = tuple(pool.map(_expander_worker, args))
+            outcomes = tuple(pool.map(single, seeds))
     else:
-        outcomes = tuple(_expander_single(*a) for a in args)
-    max_sigma = max((o.time_avg_sigma for o in outcomes), default=0.0)
+        outcomes = tuple(map(single, seeds))
+    max_sigma = max(o.time_avg_sigma for o in outcomes)
     return ExpanderExperimentReport(
         family=family,
         p=p,

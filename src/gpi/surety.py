@@ -15,7 +15,7 @@ effective reset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import KeysView, Mapping, Sequence
 
 from .keys import PublicIdentifier
 from .ledger import Ledger
@@ -35,11 +35,17 @@ def _ordered(u: PublicIdentifier, v: PublicIdentifier) -> Edge:
 
 @dataclass(frozen=True)
 class SuretyGraph:
+    """A surety graph at a prefix; ``witness`` maps each edge to the seqs of its two pledges."""
+
     surety_type: int
     prefix_k: int
     vertices: frozenset[PublicIdentifier]
-    edges: frozenset[Edge]
     witness: Mapping[Edge, tuple[int, int]]
+
+    @property
+    def edges(self) -> KeysView[Edge]:
+        """The edges, a read-only view of ``witness``'s keys."""
+        return self.witness.keys()
 
     def sorted_edges(self) -> list[Edge]:
         """Edges sorted by their endpoints' labels, first endpoint first."""
@@ -47,10 +53,7 @@ class SuretyGraph:
 
     def edgelist_lines(self) -> list[str]:
         """One ``hexid hexid`` pair per line, lexicographically sorted."""
-        lines = sorted(
-            " ".join(sorted((a.hex, b.hex))) for a, b in self.edges
-        )
-        return lines
+        return sorted(" ".join(sorted((a.hex, b.hex))) for a, b in self.edges)
 
 
 def graph_at(ledger: Ledger, k: int, surety_type: int) -> SuretyGraph:
@@ -73,21 +76,8 @@ def graph_at(ledger: Ledger, k: int, surety_type: int) -> SuretyGraph:
         surety_type=surety_type,
         prefix_k=k,
         vertices=vertices,
-        edges=frozenset(edges),
         witness=edges,
     )
-
-
-def chain_current_map(
-    chains: Iterable[ProvenanceChain],
-) -> dict[PublicIdentifier, tuple[PublicIdentifier, bool]]:
-    """Map every superseded chain member to (chain current, chain validity)."""
-    out: dict[PublicIdentifier, tuple[PublicIdentifier, bool]] = {}
-    for chain in chains:
-        for ident in chain.identifiers:
-            if ident != chain.current:
-                out[ident] = (chain.current, chain.valid)
-    return out
 
 
 def migrate_edges(graph: SuretyGraph, chains: Sequence[ProvenanceChain]) -> SuretyGraph:
@@ -95,11 +85,19 @@ def migrate_edges(graph: SuretyGraph, chains: Sequence[ProvenanceChain]) -> Sure
 
     Migrating along an invalid chain raises InvalidChain.  An edge whose
     endpoints collapse onto a single identifier is dropped (no self-loops);
-    colliding migrated edges keep the smallest witness pair.  The operation
-    is idempotent: once every endpoint is a chain current, nothing moves.
+    colliding migrated edges keep the smallest witness pair.  Every vertex
+    moves to its chain current (an edge's endpoints are among the vertices
+    of any graph that ``graph_at`` or this function returns).  The
+    operation is idempotent: once every endpoint is a chain current,
+    nothing moves.
     """
-    mapping = chain_current_map(chains)
-    vertices = set(graph.vertices)
+    # every superseded chain member -> (chain current, chain validity)
+    mapping = {
+        ident: (chain.current, chain.valid)
+        for chain in chains
+        for ident in chain.identifiers
+        if ident != chain.current
+    }
     edges: dict[Edge, tuple[int, int]] = {}
 
     def resolve(v: PublicIdentifier) -> PublicIdentifier:
@@ -113,9 +111,6 @@ def migrate_edges(graph: SuretyGraph, chains: Sequence[ProvenanceChain]) -> Sure
 
     for (u, v), wit in graph.witness.items():
         ru, rv = resolve(u), resolve(v)
-        vertices.discard(u)
-        vertices.discard(v)
-        vertices.update((ru, rv))
         if ru == rv:
             continue
         key = _ordered(ru, rv)
@@ -124,12 +119,9 @@ def migrate_edges(graph: SuretyGraph, chains: Sequence[ProvenanceChain]) -> Sure
         prev = edges.get(key)
         if prev is None or wit < prev:
             edges[key] = wit
-    # vertices that had no incident edges still migrate
-    vertices = {resolve(v) for v in vertices}
     return SuretyGraph(
         surety_type=graph.surety_type,
         prefix_k=graph.prefix_k,
-        vertices=frozenset(vertices),
-        edges=frozenset(edges),
+        vertices=frozenset(map(resolve, graph.vertices)),
         witness=edges,
     )

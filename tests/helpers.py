@@ -23,7 +23,7 @@ from gpi.ledger import (
     append_event,
     serialize_log,
 )
-from gpi.oracle import AgentRegistry, _pledge_violation_reason, _trace
+from gpi.oracle import AgentRegistry, _pledge_violation_reason, _trace, classify
 
 
 @dataclass
@@ -524,6 +524,72 @@ def check_expulsions(result) -> None:
         )
     assert [len(expelled) for expelled, _ in runs] == result.expulsion_sizes
     assert counts == result.sybil_series.tolist()
+
+
+def bf_series_from_ledger(
+    ledger: Ledger, registry: AgentRegistry, n0: int
+) -> list[tuple[int, int, float, int, int]]:
+    """Every round's ``sim grow`` CSV columns, rebuilt in one pass over the run's ledger.
+
+    Returns (community_size, sybil_count, sigma, num_components,
+    max_component) per round.  A round ends where the next candidate's
+    ``declare`` begins; the first ``n0`` additions seat the initial members.
+    Membership comes from ``community_add`` and ``community_remove``, the
+    sybils from ``classify``, and the sybil components from a union-find
+    over mutual type-3 pledges between sybils, counting the present
+    members of each.  A union-find cannot split a component, so each round
+    asserts that an expulsion took every present member of a component.
+    """
+    sybils = classify(ledger, registry).sybils
+    parent: dict[PublicIdentifier, PublicIdentifier] = {}
+    present_in: dict[PublicIdentifier, int] = {}  # root -> present members, for roots with any
+    shrunk: set[PublicIdentifier] = set()  # roots that lost a member this round
+    pledged: set[tuple[PublicIdentifier, PublicIdentifier]] = set()
+    rows: list[tuple[int, int, float, int, int]] = []
+    members = present_sybils = adds = 0
+
+    def find(v: PublicIdentifier) -> PublicIdentifier:
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    def end_round() -> None:
+        assert not any(find(r) in present_in for r in shrunk), "an expulsion split a component"
+        shrunk.clear()
+        rows.append((members, present_sybils, present_sybils / members,
+                     len(present_in), max(present_in.values(), default=0)))
+
+    for ev in ledger.events:
+        b = ev.body
+        if isinstance(b, Declare) and adds > n0:
+            end_round()
+        elif isinstance(b, Pledge) and b.surety_type == 3:
+            if (b.to_v, b.from_v) in pledged and b.from_v in sybils and b.to_v in sybils:
+                ra, rb = find(b.from_v), find(b.to_v)
+                if ra != rb:
+                    parent[ra] = rb
+                    joined = present_in.pop(ra, 0) + present_in.pop(rb, 0)
+                    if joined:
+                        present_in[rb] = joined
+            pledged.add((b.from_v, b.to_v))
+        elif isinstance(b, CommunityAdd):
+            adds += 1
+            members += 1
+            if b.v in sybils:
+                present_sybils += 1
+                r = find(b.v)
+                present_in[r] = present_in.get(r, 0) + 1
+        elif isinstance(b, CommunityRemove):
+            members -= 1
+            if b.v in sybils:
+                present_sybils -= 1
+                r = find(b.v)
+                shrunk.add(r)
+                present_in[r] -= 1
+                if not present_in[r]:
+                    del present_in[r]
+    end_round()
+    return rows
 
 
 def reference_slot_sigma(n: int, k: int, p: float, rounds: int, burn_in: int, seed: int) -> float:

@@ -50,7 +50,7 @@ def test_criterion_1_steady_state_formula():
     """Scalar-chain Monte Carlo against the analytic root and its bound."""
     n, p, k = 10000, 0.5, 100
     started = time.time()
-    result = run_markov_component(n, p, k, steps=10**6, seed=2024, burn_in=10**5)
+    result = run_markov_component(n, p, k, steps=10**6, seed=2024)
     elapsed = time.time() - started
     root = steady_state_root(n, p, k)
     bound = math.sqrt(n / (p * k))

@@ -1,20 +1,30 @@
 """Command-line surface: exit codes, formats, manifests, no input mutation."""
 
+import csv
 import hashlib
 import json
+import shlex
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 from gpi import cli, community, sim
-from gpi.cli import main
-from gpi.ledger import write_log
+from gpi.cli import build_parser, main
+from gpi.ledger import read_log, write_log
 from gpi.metrics import MIS_EXACT_LIMIT, Graph
+from gpi.oracle import AgentRegistry
 
-from helpers import Scenario, bf_greedy_independent_set, noncanonical_probes, timing_scenarios
+from helpers import (
+    Scenario,
+    bf_greedy_independent_set,
+    bf_series_from_ledger,
+    noncanonical_probes,
+    timing_scenarios,
+)
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -331,6 +341,27 @@ class TestJsonInputs:
         assert captured.err == f"ValueError: {config}: expected a JSON object\n"
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize(
+        "key,value,line",
+        [
+            ("steps", 1.5, "config key 'steps' must be an integer, got 1.5"),
+            ("seed", "7", "config key 'seed' must be an integer, got '7'"),
+            ("p", "0.5", "config key 'p' must be a number, got '0.5'"),
+            ("k", 2.5, "config key 'k' must be an integer, got 2.5"),
+            ("n0", True, "config key 'n0' must be an integer, got True"),
+        ],
+        ids=["steps-float", "seed-string", "p-string", "k-float", "n0-bool"],
+    )
+    def test_grow_config_value_of_a_wrong_json_type_exits_two_naming_the_key(self, key, value, line, tmp_path,
+                                                                             capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n0": 25, "p": 0.5, "k": 2, "sybil_rate": 0.5, "steps": 100,
+                                      "burn_in": 10, "seed": 1, key: value}))
+        assert main(["sim", "grow", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ConfigError: {line}\n"
+        assert "Traceback" not in captured.out + captured.err
+
     def test_grow_config_that_is_not_json_exits_two_naming_the_file(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text("{'seed': 1}")
@@ -396,6 +427,55 @@ class TestSimCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "ConfigError" in err and "burn_in" in err
+
+    def test_steady_state_without_steps_exits_two_naming_them(self, capsys):
+        code = main(["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "ConfigError: steps must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["corollary1", "--n", "20", "--d", "4", "--lambda-target", "0.9", "--p", "1.0", "--seeds", "0"],
+             "argument --seeds: expected a positive integer"),
+            (["corollary1", "--n", "20", "--d", "4", "--lambda-target", "0.9", "--p", "1.0", "--seeds", "-2"],
+             "argument --seeds: expected a positive integer"),
+            (["observation2", "--sigma-cap", "0.1", "--steps", "10", "--seeds", "0"],
+             "argument --seeds: expected a positive integer"),
+            (["steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "100", "--burn-in", "10"],
+             "unrecognized arguments: --burn-in 10"),
+            (["observation2", "--sigma-cap", "0.1", "--steps", "10", "--n0", "1"],
+             "unrecognized arguments: --n0 1"),
+        ],
+        ids=["corollary1-seeds-0", "corollary1-seeds-minus-2", "observation2-seeds-0", "steady-state-burn-in",
+             "observation2-n0"],
+    )
+    def test_no_seeds_and_removed_flags_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sim", *argv])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "adversary,n0,k,steps",
+        [("uniform", 30, 3, 1500), ("greedy_independent_set", 30, 3, 1500), ("uniform", 300, 12, 6000)],
+        ids=["uniform", "greedy", "uniform-larger"],
+    )
+    def test_every_csv_round_replays_from_the_emitted_ledger(self, adversary, n0, k, steps, tmp_path, capsys):
+        out_csv, out_log = tmp_path / "run.csv", tmp_path / "run.log"
+        assert main(["sim", "grow", "--n0", str(n0), "--p", "0.5", "--k", str(k), "--sybil-rate", "0.5",
+                     "--steps", str(steps), "--burn-in", str(steps // 10), "--seed", "4",
+                     "--adversary", adversary, "--out", str(out_csv), "--emit-ledger", str(out_log)]) == 0
+        capsys.readouterr()
+        registry = AgentRegistry.from_json(Path(f"{out_log}.registry.json").read_text())
+        replayed = bf_series_from_ledger(read_log(out_log), registry, n0=n0)
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[str(i), str(size), str(sybils), f"{sigma:.9f}", str(count), str(largest)]
+                        for i, (size, sybils, sigma, count, largest) in enumerate(replayed)]
+        assert max(row[4] for row in replayed) > 1 and max(row[3] for row in replayed) > 1
 
     def test_observation2(self, capsys):
         code = main(["sim", "observation2", "--sigma-cap", "0.1", "--steps", "2000",
@@ -534,6 +614,18 @@ class TestManifests:
         assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
         started, finished = (datetime.fromisoformat(manifest[key]) for key in ("started", "finished"))
         assert started <= calls[0] and started <= finished
+
+
+def test_every_readme_command_line_parses():
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("gpi ")]
+    assert len(commands) == 11
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README line 'gpi {shlex.join(argv)}' does not parse")
 
 
 class TestGoldenVectors:

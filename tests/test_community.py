@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gpi.community import (
@@ -240,6 +241,19 @@ class TestChecker:
         params_fail = Theorem2Params(d=24, alpha=Fraction(1, 100), beta=Fraction(1, 100), gamma=1, delta=0)
         report = theorem2_check(g, a, a, params_fail, set())
         assert report.conditions[5].passed is False
+
+    def test_a_threshold_equal_to_phi_is_not_passed_on_rounding(self):
+        # Q5 has Phi = 1/5, exactly its Cheeger lower bound (1 - lambda_2)/2; with this
+        # labelling the computed lambda_2 falls below 3/5, and the threshold is 1/5
+        perm = np.random.default_rng(14).permutation(32)
+        q5 = Graph.from_edges(32, [(int(perm[u]), int(perm[u ^ 1 << b])) for u in range(32) for b in range(5)
+                                   if u < u ^ 1 << b])
+        a = set(range(32))
+        params = Theorem2Params(d=5, alpha=1, beta=Fraction(1, 2), gamma=Fraction(1, 5), delta=0)
+        report = theorem2_check(q5, a, a, params, set())
+        assert report.conductance_mode == "cheeger"
+        assert report.conditions[5].passed is None
+        assert report.verdict == "inconclusive"
 
     def test_inconclusive_verdict_when_bounds_straddle(self):
         ring = Graph.from_edges(24, [(i, (i + 1) % 24) for i in range(24)])

@@ -20,9 +20,10 @@ from gpi.metrics import (
     cut_size,
     generate_regular_expander,
     greedy_independent_set,
+    lambda2_enclosure,
     max_independent_set,
+    rw_spectrum,
     second_eigenvalue,
-    second_eigenvalue_signed,
     volume,
 )
 from gpi.rng import GRAPH_GEN, stream
@@ -177,7 +178,7 @@ class TestSpectrum:
             if g.n < 2 or (g.degrees == 0).any():
                 continue
             w = rw_eigenvalues_direct(g)
-            assert second_eigenvalue_signed(g) == pytest.approx(w[-2], abs=1e-8)
+            assert rw_spectrum(g)[1] == pytest.approx(w[-2], abs=1e-8)
             lam = max(abs(w[0]), abs(w[-2]))
             assert second_eigenvalue(g) == pytest.approx(min(lam, 1.0), abs=1e-8)
 
@@ -189,10 +190,10 @@ class TestSpectrum:
         if (g.degrees == 0).any() or not g.is_connected():
             g = random_graph(40, 0.3, np.random.default_rng(32))
         dense_lam = second_eigenvalue(g)
-        dense_lam2 = second_eigenvalue_signed(g)
+        dense_lam2 = rw_spectrum(g)[1]
         monkeypatch.setattr(metrics_mod, "_DENSE_EIG_LIMIT", 10)
         assert second_eigenvalue(g) == pytest.approx(dense_lam, abs=1e-7)
-        assert second_eigenvalue_signed(g) == pytest.approx(dense_lam2, abs=1e-7)
+        assert rw_spectrum(g)[1] == pytest.approx(dense_lam2, abs=1e-7)
 
     def test_lambda_is_one_iff_disconnected_or_bipartite(self):
         rng = np.random.default_rng(17)
@@ -213,7 +214,7 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             second_eigenvalue(Graph(0, []))
         with pytest.raises(ZeroDegreeVertex):
-            second_eigenvalue_signed(Graph(1, [[]]))
+            rw_spectrum(Graph(1, [[]]))[1]
 
     def test_large_forest_spectrum_read_off_structure(self, monkeypatch):
         import scipy.sparse.linalg as spl
@@ -227,7 +228,7 @@ class TestSpectrum:
         n = metrics_mod._DENSE_EIG_LIMIT + 10
         forest = Graph.from_edges(n, [(i, i + 1) for i in range(0, n, 2)] + [(0, 2)])
         assert not forest.is_connected()
-        assert (second_eigenvalue(forest), second_eigenvalue_signed(forest)) == (1.0, 1.0)
+        assert (second_eigenvalue(forest), rw_spectrum(forest)[1]) == (1.0, 1.0)
         assert conductance_bounds(forest) == (0.0, 0.0)
 
     def test_lanczos_start_vector_is_fixed(self, monkeypatch):
@@ -258,6 +259,18 @@ class TestCheegerBounds:
         lower, upper = conductance_bounds(complete_graph(2))
         assert lower == pytest.approx(1.0, abs=1e-9)
         assert upper == pytest.approx(2.0, abs=1e-9)
+
+    def test_lambda2_enclosure_holds_the_exact_value(self, monkeypatch):
+        # exact lambda_2: -1/(n-1) on K_n, cos(2 pi/6) on C6, 1/3 on Petersen, 1 when disconnected
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        cases = [(complete_graph(25), Fraction(-1, 24)), (cycle_graph(6), Fraction(1, 2)),
+                 (petersen_graph(), Fraction(1, 3)), (two_triangles, Fraction(1))]
+        for graph, exact in cases:
+            lo, hi = lambda2_enclosure(graph)
+            assert Fraction(lo) <= exact <= Fraction(hi)
+            assert hi - lo < 1e-9
+        monkeypatch.setattr(metrics, "_DENSE_EIG_LIMIT", 5)
+        assert lambda2_enclosure(petersen_graph()) == (-1.0, 1.0)
 
 
 class TestIndependentSets:

@@ -16,8 +16,6 @@ from gpi.registry import (
     NotAnUpdate,
     analyze,
     current_identifiers,
-    duplicate_declarations,
-    first_declaration,
     is_valid_update,
     provenance_chains,
     reset_status,
@@ -34,19 +32,19 @@ class TestFirstDeclaration:
         scenario.declare("x", "g")
         scenario.declare("x2", "g")
         scenario.declare("v1", "g")  # re-declared at seq 3
-        assert first_declaration(scenario.ledger, scenario.ident("v1")) == 0
-        assert duplicate_declarations(scenario.ledger) == (3,)
+        assert analyze(scenario.ledger).intro.get(scenario.ident("v1")) == 0
+        assert analyze(scenario.ledger).duplicates == (3,)
 
     def test_absent_identifier_returns_none(self, scenario):
         scenario.declare("v1", "h")
-        assert first_declaration(scenario.ledger, scenario.ident("ghost")) is None
+        assert analyze(scenario.ledger).intro.get(scenario.ident("ghost")) is None
 
     def test_update_introduces_its_new_identifier(self, scenario):
         scenario.declare("a", "h")
         for name in "bcde":
             scenario.declare(name, "g" + name)
         scenario.update("v2", "a", "h")  # seq 5
-        assert first_declaration(scenario.ledger, scenario.ident("v2")) == 5
+        assert analyze(scenario.ledger).intro.get(scenario.ident("v2")) == 5
 
 
 class TestUpdateValidity:
@@ -317,12 +315,12 @@ class TestFoldCache:
         analyze(tip)  # the tip's fold covers all three events
         c = generate_keypair("mock", b"c")
         branch = append_event(tip.prefix(1), Declare(c.public), c)
-        assert first_declaration(branch, scenario.ident("b")) is None
-        assert first_declaration(branch, scenario.ident("b2")) is None
-        assert first_declaration(branch, c.public) == 1
+        assert analyze(branch).intro.get(scenario.ident("b")) is None
+        assert analyze(branch).intro.get(scenario.ident("b2")) is None
+        assert analyze(branch).intro.get(c.public) == 1
         assert dict(analyze(branch).introduced_at) == {0: scenario.ident("a"), 1: c.public}
-        assert first_declaration(tip, c.public) is None
-        assert first_declaration(tip, scenario.ident("b")) == 1
+        assert analyze(tip).intro.get(c.public) is None
+        assert analyze(tip).intro.get(scenario.ident("b")) == 1
 
     def test_one_fold_pass_per_backing(self, monkeypatch):
         result = run_agent_sim(

@@ -252,6 +252,14 @@ class TestExpanderExperiment:
         with pytest.raises(ConfigError, match="rounds"):
             expander_bound_experiment(ExpanderFamily(n=60, d=30), p=0.5, seeds=[1], lambda_target=0.4, rounds=rounds)
 
+    def test_no_seeds_is_rejected_before_any_backbone(self, monkeypatch):
+        def sample(*args):
+            raise AssertionError("a backbone was sampled")
+
+        monkeypatch.setattr("gpi.sim.generate_regular_expander", sample)
+        with pytest.raises(ConfigError, match="seed"):
+            expander_bound_experiment(ExpanderFamily(n=60, d=30), p=0.5, seeds=[], lambda_target=0.4, rounds=200)
+
     def test_parallel_jobs_match_sequential(self):
         kwargs = dict(
             family=ExpanderFamily(n=60, d=30),

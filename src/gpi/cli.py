@@ -135,12 +135,12 @@ def _cmd_ledger_graph(args: argparse.Namespace) -> int:
                 "surety_type": graph.surety_type,
                 "prefix": graph.prefix_k,
                 "vertices": sorted(v.label for v in graph.vertices),
-                "edges": [[a.label, b.label] for a, b in graph.sorted_edges()],
+                "edges": [[a.label, b.label] for a, b in sorted(graph.edges)],
             },
             indent=2,
         ) + "\n"
     else:  # dot
-        body = "\n".join(f'  "{a.hex}" -- "{b.hex}";' for a, b in graph.sorted_edges())
+        body = "\n".join(f'  "{a.hex}" -- "{b.hex}";' for a, b in sorted(graph.edges))
         text = "graph sureties {\n" + body + ("\n" if body else "") + "}\n"
     if args.out:
         Path(args.out).write_text(text)

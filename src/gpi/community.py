@@ -445,25 +445,6 @@ def infer_params(
     )
 
 
-def theorem2_union_check(
-    graph: Graph,
-    first: AbstractSet[int],
-    second: AbstractSet[int],
-    params: Theorem2Params,
-    byzantine: AbstractSet[int],
-) -> tuple[ConditionReport, ConditionReport]:
-    """Check a union of two overlapping communities from both sides.
-
-    Both communities receive the guarantee for ``first | second`` exactly
-    when both returned reports pass.
-    """
-    union = frozenset(first) | frozenset(second)
-    return (
-        theorem2_check(graph, first, union, params, byzantine),
-        theorem2_check(graph, second, union, params, byzantine),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Random all-pass instances (soundness fodder for the checker)
 # ---------------------------------------------------------------------------

@@ -278,9 +278,6 @@ class Ledger:
             return NotImplemented
         return self.events == other.events
 
-    def __hash__(self) -> int:
-        return hash(self.events)
-
     def __repr__(self) -> str:
         return f"Ledger({self._length} events)"
 

@@ -3,7 +3,7 @@
 Plain undirected graphs over integer vertices (optionally labelled), with
 the quantities the community checkers and simulations are built on:
 
-* cuts, volumes and exact conductance
+* exact conductance
 
       Phi(G) = min over nonempty proper A of  e(A, A^c) / min(vol A, vol A^c)
 
@@ -47,15 +47,11 @@ import numpy as np
 from .rng import GRAPH_GEN, LANCZOS_START, stream
 
 
-class OverlappingSets(ValueError):
-    """Cut queried for non-disjoint vertex sets."""
-
-
 class TooLarge(ValueError):
     def __init__(self, n: int, limit: int):
         super().__init__(
             f"exact conductance enumerates 2^(n-1) splits; n={n} exceeds limit {limit} "
-            "(use conductance_bounds instead)"
+            "(for Cheeger bounds run `gpi metrics lambda`, or call conductance_bounds)"
         )
         self.n = n
         self.limit = limit
@@ -136,10 +132,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
@@ -200,20 +192,8 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Cuts and exact conductance
+# Exact conductance
 # ---------------------------------------------------------------------------
-
-def cut_size(graph: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Number of edges with one endpoint in ``a`` and the other in ``b``."""
-    sa, sb = set(a), set(b)
-    if sa & sb:
-        raise OverlappingSets(f"sets share vertices {sorted(sa & sb)}")
-    return sum(1 for u in sa for w in graph.adj[u] if w in sb)
-
-
-def volume(graph: Graph, a: Iterable[int]) -> int:
-    return int(sum(graph.degree(v) for v in set(a)))
-
 
 @dataclass(frozen=True)
 class ConductanceResult:

@@ -178,7 +178,9 @@ def classify(ledger: Ledger, registry: AgentRegistry) -> ClassificationReport:
     """Split declared identifiers into genuine/sybil and derive agent status.
 
     Runs the cached oracle pass (see the module docstring) and then costs
-    O(identifiers + agents).
+    O(identifiers + agents + recorded actors): the agent sets read every
+    entry of ``registry.actor``, which a ``sim grow`` registry holds for
+    every event.
     """
     state = _trace(ledger, registry)
     declared = frozenset(state.declarer)

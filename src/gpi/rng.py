@@ -25,14 +25,18 @@ LEMMA_INSTANCES = 6
 LANCZOS_START = 8
 
 
+def _generator(seed: int, low: int) -> np.random.Generator:
+    # masking would alias seeds that differ by a multiple of 2**64
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, low], dtype=np.uint64)))
+
+
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """An independent generator keyed by (seed, stream_id)."""
-    key = np.array([seed & _MASK, stream_id & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """An independent generator keyed by (seed, stream_id); seed lies in [0, 2**64)."""
+    return _generator(seed, stream_id & _MASK)
 
 
 def substream(seed: int, stream_id: int, index: int) -> np.random.Generator:
-    """A generator for one block/instance within a stream."""
-    mixed = (stream_id * 0x9E3779B97F4A7C15 + index) & _MASK
-    key = np.array([seed & _MASK, mixed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """A generator for one block/instance within a stream; seed lies in [0, 2**64)."""
+    return _generator(seed, (stream_id * 0x9E3779B97F4A7C15 + index) & _MASK)

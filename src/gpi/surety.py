@@ -47,10 +47,6 @@ class SuretyGraph:
         """The edges, a read-only view of ``witness``'s keys."""
         return self.witness.keys()
 
-    def sorted_edges(self) -> list[Edge]:
-        """Edges sorted by their endpoints' labels, first endpoint first."""
-        return sorted(self.edges)
-
     def edgelist_lines(self) -> list[str]:
         """One ``hexid hexid`` pair per line, lexicographically sorted."""
         return sorted(" ".join(sorted((a.hex, b.hex))) for a, b in self.edges)

@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from helpers import (
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -143,7 +147,8 @@ class TestMetricsCommands:
         path = tmp_path / "p21.edges"
         path.write_text("".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(20)))
         assert main(["metrics", "conductance", "--in", str(path)]) == 2
-        assert "TooLarge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "TooLarge" in err and "gpi metrics lambda" in err
 
     def test_lambda(self, edgelist, capsys):
         assert main(["metrics", "lambda", "--in", str(edgelist)]) == 0
@@ -184,7 +189,7 @@ class TestMetricsCommands:
         assert main(["ledger", "graph", str(log), "--type", "3"]) == 0
         edges.write_text(capsys.readouterr().out)
         graph = Graph.from_edgelist_lines(edges.read_text().splitlines())
-        assert graph.n > MIS_EXACT_LIMIT and graph.edge_count == graph.n - len(graph.components())
+        assert graph.n > MIS_EXACT_LIMIT and len(graph.edges()) == graph.n - len(graph.components())
         chosen = bf_greedy_independent_set(graph)
         expected = json.dumps({
             "size": len(chosen),
@@ -501,6 +506,27 @@ class TestSimCommands:
         assert captured.err == "seed 0: measured lambda 0.6667 exceeds target 0.09\n"
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("argv", [
+        ["grow", "--n0", "10", "--p", "0.5", "--k", "2", "--sybil-rate", "0.5", "--steps", "20", "--burn-in", "2",
+         "--out", "run.csv", "--emit-ledger", "run.log"],
+        ["steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "100"],
+        ["observation2", "--sigma-cap", "0.1", "--steps", "10", "--out", "run.csv"],
+        ["corollary1", "--n", "20", "--d", "4", "--lambda-target", "0.9", "--p", "1.0", "--rounds", "20",
+         "--out", "run.json"],
+    ], ids=lambda argv: argv[0])
+    def test_a_seed_outside_64_bits_exits_two(self, argv, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sim", *argv, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ValueError: seed {seed} is outside [0, 2**64)\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_observation2_seeds_past_the_top_seed_exit_two(self, capsys):
+        assert main(["sim", "observation2", "--sigma-cap", "0.1", "--steps", "10",
+                     "--seed", str((1 << 64) - 1), "--seeds", "2"]) == 2
+        assert capsys.readouterr().err == f"ValueError: seed {1 << 64} is outside [0, 2**64)\n"
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sim", "steady-state", "--n", "10"])
@@ -614,6 +640,12 @@ class TestManifests:
         assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
         started, finished = (datetime.fromisoformat(manifest[key]) for key in ("started", "finished"))
         assert started <= calls[0] and started <= finished
+
+
+def test_module_entry_point_prints_the_version():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "gpi.cli", "--version"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stdout == "gpi 0.1.0\n"
 
 
 def test_every_readme_command_line_parses():

@@ -16,7 +16,6 @@ from gpi.community import (
     penetration,
     random_lemma_instance,
     theorem2_check,
-    theorem2_union_check,
     vertices_of,
 )
 from gpi.ledger import Ledger
@@ -266,14 +265,6 @@ class TestChecker:
         assert report.conditions[5].passed is None
         assert report.verdict == "inconclusive"
         assert not report.guarantee
-
-    def test_union_check_runs_both_directions(self):
-        g = complete_graph(8)
-        first = set(range(5))
-        second = set(range(3, 8))
-        params = infer_params(g, first, first | second, set(), beta=Fraction(1, 4))
-        r1, r2 = theorem2_union_check(g, first, second, params, set())
-        assert len(r1.conditions) == len(r2.conditions) == 6
 
     def test_exact_mode_soundness_on_random_instances(self):
         checked = 0

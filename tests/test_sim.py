@@ -23,6 +23,7 @@ from gpi.sim import (
     run_markov_component,
     steady_state_root,
 )
+from gpi.rng import AGENT_SIM, stream, substream
 
 from helpers import check_expulsions, reference_slot_sigma
 
@@ -112,6 +113,15 @@ class TestSimConfig:
     def test_from_dict_rejects_a_non_object(self):
         with pytest.raises(ConfigError, match="must be a JSON object"):
             SimConfig.from_dict([1])
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_a_seed_outside_64_bits_raises(self, seed):
+        with pytest.raises(ValueError, match="outside"):
+            stream(seed, AGENT_SIM)
+        with pytest.raises(ValueError, match="outside"):
+            substream(seed, AGENT_SIM, 0)
 
 
 class TestAgentSim:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, community, metrics, sim
-from .ledger import LedgerError, ParseError, VerifyError, read_log, write_log
+from .ledger import SURETY_TYPES, LedgerError, ParseError, VerifyError, read_log, write_log
 from .registry import provenance_chains
 from .surety import graph_at
 
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ledger_sub.add_parser("graph", help="derive a surety graph")
     p.add_argument("file")
-    p.add_argument("--type", type=int, required=True, choices=(1, 2, 3, 4))
+    p.add_argument("--type", type=int, required=True, choices=SURETY_TYPES)
     p.add_argument("--at", type=int, default=None, help="prefix length (default: full log)")
     p.add_argument("--format", choices=("edgelist", "json", "dot"), default="edgelist")
     p.add_argument("--out")

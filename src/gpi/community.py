@@ -31,7 +31,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .keys import PublicIdentifier
 from .ledger import CommunityAdd, CommunityRemove, Ledger
@@ -76,8 +76,6 @@ class _Snapshots(Sequence[frozenset[PublicIdentifier]]):
         return len(self._changes) + 1
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[k] for k in range(*index.indices(len(self))))
         k = operator.index(index)
         if k < 0:
             k += len(self)
@@ -96,15 +94,6 @@ class _Snapshots(Sequence[frozenset[PublicIdentifier]]):
                     members.discard(v)
         return frozenset(members)
 
-    def __iter__(self) -> Iterator[frozenset[PublicIdentifier]]:
-        current: frozenset[PublicIdentifier] = frozenset()
-        yield current
-        for change in self._changes:
-            if change is not None:
-                v, added = change
-                current = current | {v} if added else current - {v}
-            yield current
-
 
 @dataclass(frozen=True)
 class CommunityHistory:
@@ -118,8 +107,7 @@ class CommunityHistory:
     + checkpoints × community size).  ``snapshots[k]`` is a new frozenset
     built from the nearest checkpoint at or below ``k``, costing up to the
     checkpoint spacing in replayed events plus the community size; a
-    checkpoint itself is returned as stored.  Iterating replays the whole
-    history once.
+    checkpoint itself is returned as stored, and iteration indexes each k.
     """
 
     snapshots: Sequence[frozenset[PublicIdentifier]]
@@ -165,7 +153,6 @@ class PenetrationReport:
     beta: Fraction
     size: int
     sybil_count: int
-    byzantine_count: int
 
 
 def penetration(
@@ -175,13 +162,11 @@ def penetration(
         raise EmptyCommunity("penetration of an empty community is undefined")
     size = len(community)
     sybils = len(community & report.sybils)
-    byz = len(community & report.byzantine)
     return PenetrationReport(
         sigma=Fraction(sybils, size),
-        beta=Fraction(byz, size),
+        beta=Fraction(len(community & report.byzantine), size),
         size=size,
         sybil_count=sybils,
-        byzantine_count=byz,
     )
 
 

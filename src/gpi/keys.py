@@ -25,7 +25,6 @@ Two schemes ship by default:
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Protocol
@@ -52,7 +51,9 @@ class PublicIdentifier(tuple):
             raise ValueError("identifier key bytes must be non-empty")
         if not scheme_id:
             raise ValueError("identifier scheme id must be non-empty")
-        scheme_id.encode("utf-8")  # bodies sign it as UTF-8: a lone surrogate raises UnicodeEncodeError
+        # bodies sign both as u16-length-prefixed bytes; a lone surrogate raises UnicodeEncodeError
+        if len(key_bytes) > 0xFFFF or len(scheme_id.encode("utf-8")) > 0xFFFF:
+            raise ValueError("identifier scheme or key longer than 65535 bytes")
         return tuple.__new__(cls, (f"{scheme_id}:{key_bytes.hex()}", scheme_id, key_bytes))
 
     label = property(itemgetter(0), doc="Printable ``scheme:hexkey`` form used in JSON interfaces.")
@@ -79,7 +80,7 @@ class KeyPair:
 class SignatureScheme(Protocol):
     name: str
 
-    def generate(self, seed: bytes | None = None) -> KeyPair: ...
+    def generate(self, seed: bytes) -> KeyPair: ...
 
     def sign(self, secret: bytes, message: bytes) -> bytes: ...
 
@@ -89,10 +90,10 @@ class SignatureScheme(Protocol):
 class Ed25519Scheme:
     name = "ed25519"
 
-    def generate(self, seed: bytes | None = None) -> KeyPair:
+    def generate(self, seed: bytes) -> KeyPair:
         from cryptography.hazmat.primitives.asymmetric import ed25519
 
-        raw = hashlib.sha256(b"ed25519-seed" + seed).digest() if seed is not None else os.urandom(32)
+        raw = hashlib.sha256(b"ed25519-seed" + seed).digest()
         private = ed25519.Ed25519PrivateKey.from_private_bytes(raw)
         public_bytes = private.public_key().public_bytes_raw()
         return KeyPair(PublicIdentifier(self.name, public_bytes), raw)
@@ -123,9 +124,8 @@ class MockScheme:
 
     name = "mock"
 
-    def generate(self, seed: bytes | None = None) -> KeyPair:
-        raw = seed if seed is not None else os.urandom(16)
-        secret = hashlib.sha256(b"mock-key" + raw).digest()[:16]
+    def generate(self, seed: bytes) -> KeyPair:
+        secret = hashlib.sha256(b"mock-key" + seed).digest()[:16]
         return KeyPair(PublicIdentifier(self.name, secret), secret)
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
@@ -153,7 +153,7 @@ def registered_schemes() -> tuple[str, ...]:
     return tuple(sorted(_SCHEMES))
 
 
-def generate_keypair(scheme: str = "mock", seed: bytes | None = None) -> KeyPair:
+def generate_keypair(scheme: str, seed: bytes) -> KeyPair:
     return get_scheme(scheme).generate(seed)
 
 

@@ -91,6 +91,9 @@ class Reset:
     old_v: PublicIdentifier
 
 
+SURETY_TYPES = (1, 2, 3, 4)  # the cumulative surety criteria a pledge may name
+
+
 @dataclass(frozen=True)
 class Pledge:
     surety_type: int
@@ -98,7 +101,7 @@ class Pledge:
     to_v: PublicIdentifier
 
     def __post_init__(self) -> None:
-        if self.surety_type not in (1, 2, 3, 4):
+        if self.surety_type not in SURETY_TYPES:
             raise EncodingError(f"surety type must be 1..4, got {self.surety_type}")
         if self.from_v == self.to_v:
             raise EncodingError("a pledge to oneself is not allowed")
@@ -178,9 +181,7 @@ def required_signer(body: EventBody) -> PublicIdentifier | None:
 # followed by the body fields in declaration order, every byte string
 # length-prefixed (u16 big-endian) and every int a single byte.
 
-def _enc_bytes(b: bytes) -> bytes:
-    if len(b) > 0xFFFF:
-        raise EncodingError("field too long for canonical encoding")
+def _enc_bytes(b: bytes) -> bytes:  # PublicIdentifier keeps every field within u16
     return len(b).to_bytes(2, "big") + b
 
 
@@ -310,9 +311,6 @@ class Ledger:
         if not 0 <= k <= self._length:
             raise ValueError(f"prefix length {k} out of range 0..{self._length}")
         return self._view(self._backing, k, self.admins)
-
-    def with_admins(self, admins: Iterable[PublicIdentifier]) -> Ledger:
-        return self._view(self._backing, self._length, frozenset(admins))
 
     def _appended(self, event: SignedEvent) -> Ledger:
         backing = self._backing
@@ -545,7 +543,7 @@ def parse_log(data: bytes) -> Ledger:
     of every body that names its signer; community add/remove events are
     checked cryptographically only, as admin membership is append-time
     policy that the file does not record.  Seq values must be dense from 0.
-    The returned ledger has no admins; ``Ledger.with_admins`` sets them.
+    The returned ledger has no admins; ``Ledger(events, admins)`` sets them.
     """
     if data and not data.endswith(b"\n"):
         raise ParseError(data.count(b"\n") + 1, "missing final newline")

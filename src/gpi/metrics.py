@@ -132,9 +132,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
     def adjacency_matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
         for u in range(self.n):

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 from .keys import PublicIdentifier
-from .ledger import Ledger, Pledge
+from .ledger import SURETY_TYPES, Ledger, Pledge
 from .registry import LedgerAnalysis, ProvenanceChain, analyze
 
 
@@ -250,7 +250,7 @@ def surety_violations(
     the pledge events of that type, which the registry fold lists:
     O(pledges of the type).
     """
-    if surety_type not in (1, 2, 3, 4):
+    if surety_type not in SURETY_TYPES:
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
     state = _trace(ledger, registry)
     out = set()
@@ -269,7 +269,7 @@ def pledge_violation(ledger: Ledger, registry: AgentRegistry, seq: int, as_type:
     (see the module docstring) exists for this ledger value, a call costs
     the O(identifiers) actor comparison and O(1) lookups.
     """
-    if as_type not in (1, 2, 3, 4):
+    if as_type not in SURETY_TYPES:
         raise ValueError(f"surety type must be 1..4, got {as_type}")
     event = ledger[seq]
     if not isinstance(event.body, Pledge):

@@ -45,6 +45,7 @@ from typing import Callable, Iterator
 
 from .keys import PublicIdentifier
 from .ledger import (
+    SURETY_TYPES,
     Declare,
     Ledger,
     Pledge,
@@ -72,17 +73,16 @@ class ProvenanceChain:
 
     links: tuple[int, ...]
     identifiers: tuple[PublicIdentifier, ...]
-    current: PublicIdentifier
     valid: bool
     maximal: bool
 
-    def __len__(self) -> int:
-        return len(self.links)
+    @property
+    def current(self) -> PublicIdentifier:
+        return self.identifiers[0]
 
 
 @dataclass(frozen=True)
 class IdentifierStatus:
-    identifier: PublicIdentifier
     state: str
 
 
@@ -109,14 +109,12 @@ class _Fold:
         self.pending: dict[PublicIdentifier, list[tuple[frozenset[PublicIdentifier], int, set]]] = {}
         self.referenced_old: dict[PublicIdentifier, int] = {}  # first seq naming it as old
         # directed pledges per type: type -> from -> {to -> first seq}
-        self.pledges: dict[int, dict[PublicIdentifier, dict[PublicIdentifier, int]]] = {
-            1: {}, 2: {}, 3: {}, 4: {}
-        }
-        self.pledge_seqs: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}  # every pledge event per type
+        self.pledges: dict[int, dict[PublicIdentifier, dict[PublicIdentifier, int]]] = {t: {} for t in SURETY_TYPES}
+        self.pledge_seqs: dict[int, list[int]] = {t: [] for t in SURETY_TYPES}  # every pledge event per type
         # mutual pairs per type, in the order they complete:
         # type -> {(u, v): (first seq of u -> v, first seq of v -> u)}, u -> v the later
         self.mutual: dict[int, dict[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]] = {
-            1: {}, 2: {}, 3: {}, 4: {}
+            t: {} for t in SURETY_TYPES
         }
 
     def _mutual_neighbors(self, v: PublicIdentifier) -> frozenset[PublicIdentifier]:
@@ -381,7 +379,6 @@ def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
             ProvenanceChain(
                 links=tuple(reversed(links)),
                 identifiers=tuple(reversed(idents)),
-                current=cur_id,
                 valid=valid,
                 maximal=maximal,
             )
@@ -414,11 +411,11 @@ def reset_status(ledger: Ledger, v: PublicIdentifier) -> IdentifierStatus:
     """Lineage-local state of one identifier."""
     a = analyze(ledger)
     if v not in a.intro:
-        return IdentifierStatus(v, NEVER_DECLARED)
+        return IdentifierStatus(NEVER_DECLARED)
     if v in a.nullified_at:  # only a reset nullifies
-        return IdentifierStatus(v, NULLIFIED)
+        return IdentifierStatus(NULLIFIED)
     if v in a.reset_at:
-        return IdentifierStatus(v, RESET_PENDING)
+        return IdentifierStatus(RESET_PENDING)
     if v in a.consumed:
-        return IdentifierStatus(v, SUPERSEDED)
-    return IdentifierStatus(v, CURRENT)
+        return IdentifierStatus(SUPERSEDED)
+    return IdentifierStatus(CURRENT)

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .keys import KeyPair, PublicIdentifier, generate_keypair
+from .keys import KeyPair, generate_keypair
 from .ledger import (
     CommunityAdd,
     CommunityRemove,
@@ -173,6 +173,8 @@ def run_markov_component(n: int, p: float, k: int, steps: int, seed: int) -> Mar
     """Simulate the scalar chain exactly; time average of x after the first tenth of the run."""
     if steps < 1:
         raise ConfigError("steps must be positive")
+    if steps < 2:
+        raise ConfigError("steps must be at least 2 to estimate a standard error")
     steady_state_root(n, p, k)  # parameter validation
     burn_in = steps // 10
     xs = np.empty(steps, dtype=np.int64)
@@ -214,7 +216,6 @@ class SimResult:
     final_members: tuple[int, ...] = ()
     ledger: Ledger | None = None
     registry: AgentRegistry | None = None
-    id_to_key: dict[int, PublicIdentifier] = field(default_factory=dict)
 
     @property
     def expulsion_count(self) -> int:
@@ -304,7 +305,6 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
             emitter.add_initial(ident)
 
     steps = config.steps
-    sigma = np.empty(steps)
     size_series = np.empty(steps, dtype=np.int64)
     sybil_series = np.empty(steps, dtype=np.int64)
     comp_count = np.empty(steps, dtype=np.int64)
@@ -383,14 +383,14 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
                         comp_of[m] = ci
                 expulsion_sizes.append(len(comp))
 
-            n_members, n_sybils = len(members), len(comp_of)
-            sigma[row] = n_sybils / n_members
-            size_series[row] = n_members
-            sybil_series[row] = n_sybils
+            size_series[row] = len(members)
+            sybil_series[row] = len(comp_of)
             comp_count[row] = len(components)
             max_comp[row] = max(map(len, components), default=0)
             row += 1
 
+    # counts below 2**53 are exact in float64, so each ratio is the correctly rounded quotient
+    sigma = sybil_series / size_series
     tail = slice(config.burn_in, None)
     result = SimResult(
         config=config,
@@ -408,7 +408,6 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
     if emitter is not None:
         result.ledger = emitter.ledger
         result.registry = emitter.registry
-        result.id_to_key = {i: kp.public for i, kp in emitter.keys.items()}
     return result
 
 
@@ -553,6 +552,8 @@ def expander_bound_experiment(
         raise ConfigError("rounds must be at least 1")
     if not seeds:
         raise ConfigError("need at least one seed")
+    if not 0 <= lambda_target <= 1:
+        raise ConfigError("lambda target must lie in [0, 1]")
     bound = math.sqrt(lambda_target / p)
     single = partial(_expander_single, family, p, lambda_target, rounds)
     if jobs > 1:

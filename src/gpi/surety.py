@@ -15,10 +15,10 @@ effective reset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import KeysView, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .keys import PublicIdentifier
-from .ledger import Ledger
+from .ledger import SURETY_TYPES, Ledger
 from .registry import ProvenanceChain, analyze
 
 
@@ -42,10 +42,7 @@ class SuretyGraph:
     vertices: frozenset[PublicIdentifier]
     witness: Mapping[Edge, tuple[int, int]]
 
-    @property
-    def edges(self) -> KeysView[Edge]:
-        """The edges, a read-only view of ``witness``'s keys."""
-        return self.witness.keys()
+    edges = property(lambda self: self.witness.keys(), doc="The edges, a read-only view of ``witness``'s keys.")
 
     def edgelist_lines(self) -> list[str]:
         """One ``hexid hexid`` pair per line, lexicographically sorted."""
@@ -54,7 +51,7 @@ class SuretyGraph:
 
 def graph_at(ledger: Ledger, k: int, surety_type: int) -> SuretyGraph:
     """The type-X surety graph induced by the first ``k`` events."""
-    if surety_type not in (1, 2, 3, 4):
+    if surety_type not in SURETY_TYPES:
         raise ValueError(f"surety type must be 1..4, got {surety_type}")
     if not 0 <= k <= len(ledger):
         raise ValueError(f"prefix {k} out of range 0..{len(ledger)}")

@@ -48,7 +48,7 @@ class Scenario:
     def use_admin(self, agent: str = "admin") -> KeyPair:
         if self.admin is None:
             self.admin = self.key("__admin__")
-            self.ledger = self.ledger.with_admins([self.admin.public])
+            self.ledger = Ledger(self.ledger.events, [self.admin.public])
             self.registry.agents.add(agent)
         return self.admin
 
@@ -188,6 +188,7 @@ def noncanonical_probes() -> list[tuple[str, bytes, str, int]]:
         ("update from null",
          log(0, json.dumps(null_update, separators=(",", ":")).encode()), "ParseError", 1),
         ("unknown scheme", log(1, lines[1].removesuffix(b'"mock"}') + b'"nope"}'), "VerifyError", 1),
+        ("oversized key", log(1, lines[1].replace(rec["signer"].encode(), b"ab" * 70_000)), "ParseError", 2),
     ]
     assert all(data != canonical for _, data, _, _ in probes)
     return probes
@@ -640,6 +641,11 @@ def reference_slot_sigma(n: int, k: int, p: float, rounds: int, burn_in: int, se
 # ---------------------------------------------------------------------------
 # Graph oracles
 # ---------------------------------------------------------------------------
+
+def edges_of(graph) -> list[tuple[int, int]]:
+    """Every edge ``(u, v)`` with ``u < v``, in order of ``u`` then of ``graph.adj[u]``."""
+    return [(u, v) for u in range(graph.n) for v in graph.adj[u] if u < v]
+
 
 def bf_greedy_independent_set(graph) -> frozenset[int]:
     """Min-degree greedy by a full scan of the live vertices per pick.

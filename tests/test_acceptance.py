@@ -38,6 +38,8 @@ from gpi.sim import (
 
 from helpers import bf_classify, random_scenario, timing_scenarios
 
+pytestmark = pytest.mark.acceptance
+
 DATA = Path(__file__).parent / "data"
 EIG_TOL = 1e-9
 

@@ -22,6 +22,7 @@ from helpers import (
     Scenario,
     bf_greedy_independent_set,
     bf_series_from_ledger,
+    edges_of,
     noncanonical_probes,
     timing_scenarios,
 )
@@ -42,6 +43,13 @@ def pledged_log(tmp_path) -> Path:
     path = tmp_path / "good.log"
     write_log(path, sc.ledger)
     return path
+
+
+def strict_json(text: str):
+    """``json.loads`` refusing ``NaN`` and ``Infinity``, which RFC 8259 does not allow."""
+    def refuse(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def tampered_copy(src: Path, dst: Path, line_index: int = 2) -> Path:
@@ -189,7 +197,7 @@ class TestMetricsCommands:
         assert main(["ledger", "graph", str(log), "--type", "3"]) == 0
         edges.write_text(capsys.readouterr().out)
         graph = Graph.from_edgelist_lines(edges.read_text().splitlines())
-        assert graph.n > MIS_EXACT_LIMIT and len(graph.edges()) == graph.n - len(graph.components())
+        assert graph.n > MIS_EXACT_LIMIT and len(edges_of(graph)) == graph.n - len(graph.components())
         chosen = bf_greedy_independent_set(graph)
         expected = json.dumps({
             "size": len(chosen),
@@ -388,6 +396,31 @@ class TestSimCommands:
         assert out["analytic_root"] == pytest.approx(4.4224, abs=1e-4)
         assert out["bound"] == pytest.approx(4.4721, abs=1e-4)
         assert 0 < out["mc_mean"] < out["bound"]
+
+    def test_two_step_steady_state_prints_strict_json(self, capsys):
+        assert main(["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "2"]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["steps"] == 2 and out["mc_stderr"] >= 0
+
+    def test_one_step_steady_state_exits_two(self, capsys):
+        # one kept step gives the batch means no spread, so no standard error
+        assert main(["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ConfigError: steps must be at least 2 to estimate a standard error\n"
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "1.5", "-0.1"])
+    def test_corollary1_lambda_target_outside_the_unit_interval_exits_two(self, target, capsys):
+        assert main(["sim", "corollary1", "--n", "20", "--d", "5", "--p", "1.0", "--rounds", "100",
+                     "--lambda-target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "ConfigError: lambda target must lie in [0, 1]\n"
+
+    def test_corollary1_prints_strict_json_at_lambda_target_one(self, capsys):
+        assert main(["sim", "corollary1", "--n", "20", "--d", "5", "--p", "1.0", "--rounds", "100",
+                     "--lambda-target", "1"]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["lambda_target"] == out["bound"] == 1.0
 
     def test_grow_writes_csv_ledger_and_manifest(self, tmp_path, capsys):
         out_csv = tmp_path / "run.csv"

@@ -3,6 +3,8 @@
 import pickle
 import random
 
+import pytest
+
 from gpi.keys import PublicIdentifier, generate_keypair
 from gpi.ledger import parse_log, serialize_log
 
@@ -60,3 +62,9 @@ class TestPublicIdentifier:
                 assert seen.setdefault(v, v) is v
                 mentions += 1
         assert mentions > 2 * len(seen)  # keys really are mentioned more than once
+
+    def test_every_identifier_fits_the_u16_length_prefixes_of_a_body(self):
+        assert PublicIdentifier("m" * 0xFFFF, b"\x01" * 0xFFFF).key_bytes == b"\x01" * 0xFFFF
+        for scheme, key in (("mock", b"\x01" * 0x10000), ("é" * 0x8000, KEY)):
+            with pytest.raises(ValueError, match="longer than 65535 bytes"):
+                PublicIdentifier(scheme, key)

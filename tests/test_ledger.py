@@ -131,7 +131,7 @@ class TestAppend:
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         with pytest.raises(SignerMismatch):
             append_event(ledger, CommunityAdd(k1.public), admin)
-        ledger = ledger.with_admins([admin.public])
+        ledger = Ledger(ledger.events, [admin.public])
         ledger = append_event(ledger, CommunityAdd(k1.public), admin)
         assert len(ledger) == 2
 

@@ -245,7 +245,7 @@ def community_scenarios(draw) -> Scenario:
     return sc
 
 
-def check_history(ledger: Ledger, data) -> None:
+def check_history(ledger: Ledger) -> None:
     """Every form of access to ``snapshots`` against the brute-force replay."""
     events = list(ledger)
     expected = [bf_community_at(events, k) for k in range(len(events) + 1)]
@@ -259,24 +259,20 @@ def check_history(ledger: Ledger, data) -> None:
     assert snapshots[-1] == history.final == expected[-1]
     if len(expected) > 1:
         assert snapshots[-2] == expected[-2]
-    start = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
-    stop = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
-    step = data.draw(st.sampled_from([1, 2, 3, -1, -5, _CHECKPOINT_EVERY]))
-    assert snapshots[start:stop:step] == tuple(expected[start:stop:step])
 
 
 class TestHistoryReplay:
     """``history_from_ledger(L).snapshots[k]`` is the community after k events."""
 
-    @given(community_scenarios(), st.data())
+    @given(community_scenarios())
     @settings(max_examples=120, deadline=None)
-    def test_scenario_histories(self, sc, data):
-        check_history(sc.ledger, data)
+    def test_scenario_histories(self, sc):
+        check_history(sc.ledger)
 
-    @given(st.integers(0, 2**16), st.integers(520, 640), st.data())
+    @given(st.integers(0, 2**16), st.integers(520, 640))
     @settings(max_examples=2, deadline=None)
-    def test_simulated_histories_across_checkpoints(self, seed, steps, data):
+    def test_simulated_histories_across_checkpoints(self, seed, steps):
         config = SimConfig(n0=30, p=0.5, k=4, sybil_rate=0.4, steps=steps, burn_in=50, seed=seed)
         ledger = run_agent_sim(config, emit_ledger=True).ledger
         assert len(ledger) > 2 * _CHECKPOINT_EVERY  # the replay spans several checkpoints
-        check_history(ledger, data)
+        check_history(ledger)

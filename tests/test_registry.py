@@ -101,7 +101,7 @@ class TestChains:
         scenario.declare("a", "h1")
         scenario.declare("b", "h2")
         chains = provenance_chains(scenario.ledger)
-        assert sorted(len(c) for c in chains) == [1, 1]
+        assert sorted(len(c.links) for c in chains) == [1, 1]
         assert all(c.valid and c.maximal for c in chains)
 
     def test_invalid_middle_link_marks_chain_invalid(self, scenario):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gpi.community import history_from_ledger
+from gpi.keys import generate_keypair
 from gpi.ledger import parse_log, serialize_log
 from gpi.metrics import generate_regular_expander, greedy_independent_set
 from gpi.oracle import classify
@@ -171,7 +172,8 @@ class TestAgentSim:
         result = run_agent_sim(self.config(steps=600, n0=20), emit_ledger=True)
         reparsed = parse_log(serialize_log(result.ledger))
         history = history_from_ledger(reparsed)
-        expected = {result.id_to_key[m] for m in result.final_members}
+        seed = result.config.seed
+        expected = {generate_keypair("mock", f"sim:{seed}:{m}".encode()).public for m in result.final_members}
         assert history.final == expected
         # the oracle classification of the replayed log matches the sim's
         # own sybil accounting

@@ -9,9 +9,9 @@ the quantities the community checkers and simulations are built on:
 
   computed exactly for graphs of up to EXACT_CONDUCTANCE_LIMIT = 20
   vertices by enumerating every split A as a 0/1 vector x, with
-  e(A, A^c) = vol A - x^T Adj x evaluated for blocks of splits as matrix
-  products (the minimum is settled in exact rationals, so argmin ties are
-  resolved deterministically);
+  e(A, A^c) = x^T (D - Adj) x summed from tables over two vertex halves
+  and one cross-table product (the minimum is settled in exact rationals,
+  so argmin ties are resolved deterministically);
 
 * the random-walk spectrum: lambda(G) is the largest modulus among the
   non-principal eigenvalues of D^-1 A, and the signed second-largest
@@ -134,8 +134,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            m[u, list(self.adj[u])] = 1.0
+        m[np.repeat(np.arange(self.n), self.degrees), list(chain.from_iterable(self.adj))] = 1.0
         return m
 
     def bitmasks(self) -> list[int]:
@@ -199,24 +198,30 @@ class ConductanceResult:
 
 
 EXACT_CONDUCTANCE_LIMIT = 20
-_SPLIT_BLOCK = 1 << 14  # splits evaluated per matrix product; bounds working memory
 
 
 def conductance_exact(graph: Graph) -> ConductanceResult:
-    """Exact conductance by enumerating every nontrivial split.
+    """Exact conductance by enumerating every nontrivial split, in half tables.
 
-    Each split A is a 0/1 row x, so vol A = x . deg and
+    Each split A is a 0/1 row x, so vol A = x . deg and e(A, A^c) = x^T Lap x
+    with Lap = D - Adj.  The vertices fall into halves L = {0, ...,
+    ceil(n/2) - 1}, with vertex 0 pinned inside A so that each split is
+    enumerated once, and H, the rest.  From q_L = x_L^T Lap_LL x_L and vol_L
+    for every row of L, the same for H, and the cross table
+    C = (X_L Lap_LH) X_H^T, every split reads
 
-        e(A, A^c) = vol A - x^T Adj x = x^T (D - Adj) x.
+        cut = q_L[:, None] + q_H[None, :] + 2 C,   vol = vol_L[:, None] + vol_H[None, :],
 
-    Blocks of splits are evaluated as float32 matrix products, exact
-    because every entry and sum is an integer of magnitude at most n(n-1).
-    The minimum is settled in exact rationals; among tied splits the
-    lexicographically smallest A containing vertex 0 is returned.
-    Disconnected graphs are reported as exactly 0 with a witnessing
-    component rather than raising.  Raises TooLarge beyond
-    EXACT_CONDUCTANCE_LIMIT vertices; callers should fall back to the
-    spectral bounds there.
+    in float32, exact because every entry is an integer of magnitude at most
+    n(n-1); the cell A = V is left out.  The ratios are float32 quotients
+    too: correct rounding keeps equal fractions equal, and distinct ones
+    differ by at least 1/380^2, far above its error, so the cells within
+    1e-9 of the least are exactly the minimisers.  The minimum is settled in
+    exact rationals; among tied splits the lexicographically smallest A
+    containing vertex 0 is returned.  Disconnected graphs are reported as
+    exactly 0 with a witnessing component rather than raising.  Raises
+    TooLarge beyond EXACT_CONDUCTANCE_LIMIT vertices; callers should fall
+    back to the spectral bounds there.
     """
     n = graph.n
     if n < 2:
@@ -228,29 +233,32 @@ def conductance_exact(graph: Graph) -> ConductanceResult:
     if n > EXACT_CONDUCTANCE_LIMIT:
         raise TooLarge(n, EXACT_CONDUCTANCE_LIMIT)
 
+    h = (n + 1) // 2
     deg = graph.degrees.astype(np.float32)
-    total = deg.sum()
     laplacian = np.diag(deg) - graph.adjacency_matrix().astype(np.float32)
-    vertices = np.arange(n, dtype=np.uint32)
-    # split i is the mask 2i + 1: vertex 0 is pinned inside A, so each split
-    # is enumerated once, and i < 2^(n-1) - 1 keeps A^c nonempty
-    splits = (1 << (n - 1)) - 1
+    bits = np.arange(n, dtype=np.uint32)
+    low = 2 * np.arange(1 << (h - 1), dtype=np.uint32) + 1  # row i of L is the mask 2i + 1
+    x_low = (low[:, None] >> bits[:h] & 1).astype(np.float32)
+    x_high = (np.arange(1 << (n - h), dtype=np.uint32)[:, None] >> bits[: n - h] & 1).astype(np.float32)
+    q_low = np.einsum("ij,ij->i", x_low @ laplacian[:h, :h], x_low)
+    q_high = np.einsum("ij,ij->i", x_high @ laplacian[h:, h:], x_high)
+    cut = (2 * x_low @ laplacian[:h, h:]) @ x_high.T
+    cut += q_low[:, None]
+    cut += q_high
+    den = (x_low @ deg[:h])[:, None] + x_high @ deg[h:]
+    np.minimum(den, deg.sum() - den, out=den)
+    cut[-1, -1], den[-1, -1] = np.inf, 1  # A = V has no complement; its ratio is inf
+    ratio = cut / den
     best: Fraction | None = None
     best_set: tuple[int, ...] | None = None
-    for lo in range(0, splits, _SPLIT_BLOCK):
-        masks = 2 * np.arange(lo, min(lo + _SPLIT_BLOCK, splits), dtype=np.uint32) + 1
-        x = (masks[:, None] >> vertices & 1).astype(np.float32)
-        vol = x @ deg
-        cut = np.einsum("ij,ij->i", x @ laplacian, x)
-        den = np.minimum(vol, total - vol)
-        ratio = cut / den.astype(np.float64)
-        for i in np.nonzero(ratio <= ratio.min() + 1e-9)[0]:
-            value = Fraction(int(cut[i]), int(den[i]))
-            if best is not None and value > best:
-                continue
-            members = tuple(v for v in range(n) if int(masks[i]) >> v & 1)
-            if best is None or value < best or members < best_set:
-                best, best_set = value, members
+    for i, j in zip(*np.nonzero(ratio <= ratio.min() + 1e-9)):
+        value = Fraction(int(cut[i, j]), int(den[i, j]))
+        if best is not None and value > best:
+            continue
+        mask = (2 * int(i) + 1) | int(j) << h
+        members = tuple(v for v in range(n) if mask >> v & 1)
+        if best is None or value < best or members < best_set:
+            best, best_set = value, members
     assert best is not None and best_set is not None
     return ConductanceResult(best, frozenset(best_set))
 

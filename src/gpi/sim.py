@@ -293,6 +293,7 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
     components: list[list[int]] = []
     comp_of: dict[int, int] = {}  # present sybil -> its component; a member is a sybil iff here
     anchors: list[int] = []  # honest attachment point of each component
+    largest = 0  # size of the largest component; rescanned only when one that large leaves
     next_id = config.n0
 
     # only the greedy adversary's founding-target search reads the edges
@@ -349,11 +350,13 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
                     target = comp[min(int(u_member * len(comp)), len(comp) - 1)]
                     comp.append(cand)
                     comp_of[cand] = slot
+                    largest = max(largest, len(comp))
                 else:
                     target = pick_founding_target(u_member)
                     components.append([cand])
                     anchors.append(target)
                     comp_of[cand] = len(components) - 1
+                    largest = max(largest, 1)
             else:
                 target = members[min(int(u_member * len(members)), len(members) - 1)]
                 honest_members.append(cand)
@@ -382,11 +385,13 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
                     for m in last:
                         comp_of[m] = ci
                 expulsion_sizes.append(len(comp))
+                if len(comp) == largest:
+                    largest = max(map(len, components), default=0)
 
             size_series[row] = len(members)
             sybil_series[row] = len(comp_of)
             comp_count[row] = len(components)
-            max_comp[row] = max(map(len, components), default=0)
+            max_comp[row] = largest
             row += 1
 
     # counts below 2**53 are exact in float64, so each ratio is the correctly rounded quotient

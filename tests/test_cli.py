@@ -693,6 +693,32 @@ def test_every_readme_command_line_parses():
             pytest.fail(f"the README line 'gpi {shlex.join(argv)}' does not parse")
 
 
+PINNED = DATA / "pinned"
+# SHA-256 of each command's stdout on the committed inputs in tests/data/pinned
+# (a 20-vertex graph, so both commands run the exact conductance at its size
+# limit).  A change to any output byte re-pins its entry and says why in CHANGES.md.
+PINNED_STDOUT = {
+    "metrics-conductance": (
+        ["metrics", "conductance", "--in", str(PINNED / "graph.edges")],
+        "8369cd3aed56f12ba892cdb1ae81330d877bf2639a5dcfc2dcb25abe1aff8416",
+    ),
+    "check-theorem2": (
+        ["check", "theorem2", "--graph", str(PINNED / "graph.edges"),
+         "--community", str(PINNED / "community.json"),
+         "--classification", str(PINNED / "classification.json"),
+         "--params", str(PINNED / "params.json")],
+        "12786a68d541bc80e80ccd3d483c574695b3baa1991b65173d2a11bc70afae7c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_STDOUT))
+def test_pinned_stdout(case, capsys):
+    argv, digest = PINNED_STDOUT[case]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestGoldenVectors:
     def test_goldens_regenerate_byte_identically(self):
         from gpi.ledger import serialize_log

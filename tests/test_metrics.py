@@ -48,20 +48,23 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def brute_conductance(graph: Graph) -> Fraction:
-    """Independent oracle: plain itertools enumeration with Fractions."""
+def brute_conductance(graph: Graph) -> tuple[Fraction, frozenset[int]]:
+    """Independent oracle: plain itertools enumeration with Fractions.
+
+    Returns the minimum and, among the sets attaining it, the
+    lexicographically smallest (as a sorted tuple) that contains vertex 0.
+    """
     vertices = range(graph.n)
-    best = None
+    scored = []
     for r in range(1, graph.n):
         for subset in itertools.combinations(vertices, r):
             a = set(subset)
             ac = set(vertices) - a
             cut = sum(1 for u in a for w in graph.adj[u] if w in ac)
             den = min(sum(graph.degree(v) for v in a), sum(graph.degree(v) for v in ac))
-            value = Fraction(cut, den)
-            if best is None or value < best:
-                best = value
-    return best
+            scored.append((Fraction(cut, den), subset))
+    best = min(value for value, _ in scored)
+    return best, frozenset(min(subset for value, subset in scored if value == best and 0 in subset))
 
 
 def brute_mis_size(graph: Graph) -> int:
@@ -107,17 +110,30 @@ class TestConductance:
         with pytest.raises(TooLarge):
             conductance_exact(cycle_graph(25))
 
-    def test_matches_brute_force(self, monkeypatch):
+    def test_matches_brute_force(self):
+        # odd and even n, so both equal and unequal halves are covered
         rng = np.random.default_rng(7)
-        for _ in range(40):
-            g = random_graph(int(rng.integers(3, 9)), 0.5, rng)
-            if not g.is_connected():
-                continue
-            result = conductance_exact(g)
-            assert result.value == brute_conductance(g)
-            with monkeypatch.context() as patch:
-                patch.setattr(metrics, "_SPLIT_BLOCK", 2)  # every graph spans several blocks
-                assert conductance_exact(g) == result
+        for n in range(3, 13):
+            for p in (0.4, 0.8):
+                g = random_graph(n, p, rng)
+                while not g.is_connected():
+                    g = random_graph(n, p, rng)
+                result = conductance_exact(g)
+                assert (result.value, result.argmin) == brute_conductance(g)
+
+    @pytest.mark.parametrize(
+        "graph,value,argmin",
+        [
+            (cycle_graph(20), Fraction(1, 10), frozenset(range(10))),
+            (complete_graph(20), Fraction(10, 19), frozenset(range(10))),
+            (complete_graph(2), Fraction(1), frozenset({0})),  # K2 and P3: a half of one vertex
+            (Graph.from_edges(3, [(0, 1), (1, 2)]), Fraction(1), frozenset({0})),
+        ],
+        ids=["C20", "K20", "K2", "P3"],
+    )
+    def test_edge_sizes_of_the_halves(self, graph, value, argmin):
+        result = conductance_exact(graph)
+        assert (result.value, result.argmin) == (value, argmin)
 
 
 class TestSpectrum:

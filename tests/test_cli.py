@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, formats, manifests, no input mutation."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -14,7 +16,7 @@ import pytest
 
 from gpi import cli, community, sim
 from gpi.cli import build_parser, main
-from gpi.ledger import read_log, write_log
+from gpi.ledger import SURETY_TYPES, read_log, write_log
 from gpi.metrics import MIS_EXACT_LIMIT, Graph
 from gpi.oracle import AgentRegistry
 
@@ -694,29 +696,123 @@ def test_every_readme_command_line_parses():
 
 
 PINNED = DATA / "pinned"
-# SHA-256 of each command's stdout on the committed inputs in tests/data/pinned
-# (a 20-vertex graph, so both commands run the exact conductance at its size
-# limit).  A change to any output byte re-pins its entry and says why in CHANGES.md.
-PINNED_STDOUT = {
+GROW = ["sim", "grow", "--n0", "100", "--p", "0.5", "--k", "10", "--sybil-rate", "0.5", "--steps", "3000",
+        "--burn-in", "300", "--seed", "7", "--out", "grown.csv", "--emit-ledger", "grown.log"]
+# SHA-256 of each command's stdout and of each file it writes, run in the
+# directory of the GROW run (whose log the ledger commands read) and on the
+# committed inputs in tests/data/pinned (a 20-vertex graph, so conductance
+# and theorem2 run the exact conductance at its size limit).  Manifests hold
+# timestamps; TestManifests ties their output digests to the files.  A change
+# to any output byte re-pins its entry and says why in CHANGES.md.
+GRAPH = ["ledger", "graph", "grown.log", "--type"]
+PINNED_OUTPUTS = {
+    "sim-grow": (
+        GROW,
+        {
+            "stdout": "e365a35b6bb26c736e78969f77bcf1c616168557fe1a1a27e457a93a3a8f64d5",
+            "grown.csv": "b8ac67852e4cc7caf6d1728d7b171fe9e108e2c76c0837474d5b61bde5de1963",
+            "grown.log": "75660593c85817a7180ae73b4c1e0389a6642c558b56673d9313a4dcf2f7270b",
+            "grown.log.registry.json": "5caae93ca8b9f9d267e844143300e99cff5504a928774eda07e69247dd931c6e",
+        },
+    ),
+    "ledger-validate": (
+        ["ledger", "validate", "grown.log"],
+        {"stdout": "ebcb9139ff6937e5d2d478e2348a07c91aa9d6d213f7dfaba131a526b8003c09"},
+    ),
+    "ledger-chains": (
+        ["ledger", "chains", "grown.log"],
+        {"stdout": "2082d9192b09076f7b28b6ded9caa30c764d8a0f0a0a07ee9771a0b98cc55ded"},
+    ),
+    "ledger-graph-type1": (
+        [*GRAPH, "1"],
+        {"stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    ),
+    "ledger-graph-type2": (
+        [*GRAPH, "2"],
+        {"stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    ),
+    "ledger-graph-type3": (
+        [*GRAPH, "3"],
+        {"stdout": "5618155c11432312ed4962db3f9b4fc535761685dcdbeb26b1bf6ba44e4a5c3d"},
+    ),
+    "ledger-graph-type4": (
+        [*GRAPH, "4"],
+        {"stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    ),
+    "ledger-graph-json": (
+        [*GRAPH, "3", "--format", "json"],
+        {"stdout": "2fda22897aa0cc8b476945dd46daa77fdfdf8fb9b9ee840a67eb72e662fa776c"},
+    ),
+    "ledger-graph-dot": (
+        [*GRAPH, "3", "--format", "dot"],
+        {"stdout": "850d21e797fca2807fe5468fff59456fe4e7585389298dd911fc5d73c21fa498"},
+    ),
+    "ledger-graph-at": (
+        [*GRAPH, "3", "--at", "6000"],
+        {"stdout": "65602a320b90ef1cacfb03170639465ce7fc7694ea450664b1921d0b4f013028"},
+    ),
     "metrics-conductance": (
         ["metrics", "conductance", "--in", str(PINNED / "graph.edges")],
-        "8369cd3aed56f12ba892cdb1ae81330d877bf2639a5dcfc2dcb25abe1aff8416",
+        {"stdout": "8369cd3aed56f12ba892cdb1ae81330d877bf2639a5dcfc2dcb25abe1aff8416"},
+    ),
+    "metrics-lambda": (
+        ["metrics", "lambda", "--in", str(PINNED / "graph.edges")],
+        {"stdout": "e8ae6ec12c9492f54da2859bbf78ecf7a5d9d940a6545d1db8df05ce37902c72"},
+    ),
+    "metrics-mis": (
+        ["metrics", "mis", "--in", str(PINNED / "graph.edges")],
+        {"stdout": "0b3d331b618ea00de9a80bfe3b7d3c56f93dc155b70cacdb5fd18d4552c3b73c"},
     ),
     "check-theorem2": (
         ["check", "theorem2", "--graph", str(PINNED / "graph.edges"),
          "--community", str(PINNED / "community.json"),
          "--classification", str(PINNED / "classification.json"),
          "--params", str(PINNED / "params.json")],
-        "12786a68d541bc80e80ccd3d483c574695b3baa1991b65173d2a11bc70afae7c",
+        {"stdout": "12786a68d541bc80e80ccd3d483c574695b3baa1991b65173d2a11bc70afae7c"},
+    ),
+    "sim-steady-state": (
+        ["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "20000", "--seed", "3"],
+        {"stdout": "a875f64656ce908be6105a939ed4b7aadb0678e6e27b3685a21b10c635691d11"},
+    ),
+    "sim-observation2": (
+        ["sim", "observation2", "--sigma-cap", "0.3", "--steps", "2000", "--seeds", "3", "--seed", "1",
+         "--out", "obs.csv"],
+        {
+            "stdout": "48a6aed17b88e4a6879482ab4477ab145e90289847fc95e69a4afe7043e4d919",
+            "obs.csv": "f20ccb3949f2cfd7c6d661fc2452823a57cdae1bb207b0a6782b67751d058b2e",
+        },
+    ),
+    "sim-corollary1": (
+        ["sim", "corollary1", "--n", "60", "--d", "30", "--lambda-target", "0.4", "--p", "1.0", "--seeds", "2",
+         "--rounds", "300", "--jobs", "1", "--out", "cor.json"],
+        {
+            "stdout": "8762e5f26c39f034429a12a4734f3e364879417729899413f8822165d77fd56c",
+            "cor.json": "8762e5f26c39f034429a12a4734f3e364879417729899413f8822165d77fd56c",
+        },
     ),
 }
 
 
-@pytest.mark.parametrize("case", list(PINNED_STDOUT))
-def test_pinned_stdout(case, capsys):
-    argv, digest = PINNED_STDOUT[case]
-    assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+@pytest.fixture(scope="module")
+def grown(tmp_path_factory) -> tuple[Path, str]:
+    """The directory the GROW run wrote its files to, and its stdout."""
+    where, out = tmp_path_factory.mktemp("grown"), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.chdir(where)
+        assert main(GROW) == 0
+    return where, out.getvalue()
+
+
+@pytest.mark.parametrize("case", list(PINNED_OUTPUTS))
+def test_pinned_stdout(case, grown, capsys, monkeypatch):
+    argv, digests = PINNED_OUTPUTS[case]
+    where, stdout = grown
+    monkeypatch.chdir(where)
+    if argv is not GROW:
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+    outputs = {"stdout": stdout.encode(), **{name: (where / name).read_bytes() for name in digests if name != "stdout"}}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests
 
 
 class TestGoldenVectors:

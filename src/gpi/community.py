@@ -18,11 +18,12 @@ target beta:
     5. |A' \\ A| <= delta * |A|  and  beta + delta <= 1/2;
     6. Phi(G|_{A'}) > (gamma/alpha) * (1-beta)/beta.
 
-All ratios are evaluated in exact rational arithmetic.  Condition 6 uses
-exact conductance up to 20 vertices.  Beyond that it compares, exactly,
-the Cheeger bounds at the ends of ``metrics.lambda2_enclosure``, an
-interval certain to hold lambda_2 of G|A' (certifying nothing past 2,000
-vertices), and is ``inconclusive`` when the threshold lies between them.
+All ratios are evaluated in exact rational arithmetic.  Condition 6 fails
+for a one-member A', whose conductance is undefined, and uses exact
+conductance up to 20 vertices.  Beyond that it compares, exactly, the
+Cheeger bounds at the ends of ``metrics.lambda2_enclosure``, an interval
+certain to hold lambda_2 of G|A' (certifying nothing past 2,000 vertices),
+and is ``inconclusive`` when the threshold lies between them.
 """
 
 from __future__ import annotations
@@ -371,6 +372,9 @@ def theorem2_check(
     if params.alpha == 0 or params.beta == 0:
         cond6: bool | None = False
         detail6 = "conductance threshold undefined for alpha=0 or beta=0"
+    elif len(grown) == 1:
+        cond6 = False
+        detail6 = "conductance undefined for a one-member community"
     else:
         threshold = (params.gamma / params.alpha) * (1 - params.beta) / params.beta
         sub, _ = graph.induced(grown)

@@ -4,10 +4,12 @@ Identifiers are bare public keys tagged with the scheme that verifies them.
 Heterogeneous schemes are allowed as long as every scheme in use is
 registered, so verification of any event is always possible.
 
-An identifier is an immutable tuple ``(label, scheme_id, key_bytes)``, so
-hashing, equality and ordering run in C: two identifiers are equal iff
-their scheme and key bytes are, and they sort in ``label`` order.  Hex
-never contains ``:``, so the label ``scheme:hexkey`` determines the pair.
+An identifier is an immutable tuple ``(label, scheme_id, key_bytes,
+encoded)``, so hashing, equality and ordering run in C: two identifiers are
+equal iff their scheme and key bytes are, and they sort in ``label`` order.
+Hex never contains ``:``, so the label ``scheme:hexkey`` determines the
+pair.  ``encoded``, the bytes a body signs for it, is the UTF-8 scheme and
+the key, each behind a u16 length: hence the 65,535-byte limit on both.
 
 Two schemes ship by default:
 
@@ -37,11 +39,11 @@ class UnknownScheme(KeyError):
 class PublicIdentifier(tuple):
     """A public key declared (or declarable) as a personal identifier.
 
-    The tuple ``(label, scheme_id, key_bytes)``, with the printable label
-    ``scheme:hexkey`` computed once.  Equality and hashing are those of the
-    tuple, i.e. byte equality of ``(scheme_id, key_bytes)``, and the
-    natural order is ``label`` order.  An identifier never equals a plain
-    ``(scheme_id, key_bytes)`` pair.
+    The tuple ``(label, scheme_id, key_bytes, encoded)``, with the
+    printable label ``scheme:hexkey`` and the signed encoding computed once.
+    Equality and hashing are those of the tuple, i.e. byte equality of
+    ``(scheme_id, key_bytes)``, and the natural order is ``label`` order.
+    An identifier never equals a plain ``(scheme_id, key_bytes)`` pair.
     """
 
     __slots__ = ()
@@ -51,14 +53,16 @@ class PublicIdentifier(tuple):
             raise ValueError("identifier key bytes must be non-empty")
         if not scheme_id:
             raise ValueError("identifier scheme id must be non-empty")
-        # bodies sign both as u16-length-prefixed bytes; a lone surrogate raises UnicodeEncodeError
-        if len(key_bytes) > 0xFFFF or len(scheme_id.encode("utf-8")) > 0xFFFF:
+        scheme = scheme_id.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+        if len(key_bytes) > 0xFFFF or len(scheme) > 0xFFFF:
             raise ValueError("identifier scheme or key longer than 65535 bytes")
-        return tuple.__new__(cls, (f"{scheme_id}:{key_bytes.hex()}", scheme_id, key_bytes))
+        encoded = len(scheme).to_bytes(2, "big") + scheme + len(key_bytes).to_bytes(2, "big") + key_bytes
+        return tuple.__new__(cls, (f"{scheme_id}:{key_bytes.hex()}", scheme_id, key_bytes, encoded))
 
     label = property(itemgetter(0), doc="Printable ``scheme:hexkey`` form used in JSON interfaces.")
     scheme_id = property(itemgetter(1))
     key_bytes = property(itemgetter(2))
+    encoded = property(itemgetter(3), doc="The bytes an event body signs for this identifier.")
 
     @property
     def hex(self) -> str:

@@ -178,23 +178,16 @@ def required_signer(body: EventBody) -> PublicIdentifier | None:
 # Canonical encoding
 # ---------------------------------------------------------------------------
 # Signatures need one bit-exact serialization: a single type tag byte
-# followed by the body fields in declaration order, every byte string
-# length-prefixed (u16 big-endian) and every int a single byte.
-
-def _enc_bytes(b: bytes) -> bytes:  # PublicIdentifier keeps every field within u16
-    return len(b).to_bytes(2, "big") + b
-
-
-def _enc_ident(v: PublicIdentifier) -> bytes:
-    return _enc_bytes(v.scheme_id.encode("utf-8")) + _enc_bytes(v.key_bytes)
-
+# followed by the body fields in declaration order, every int a single byte
+# and every identifier its ``encoded`` bytes (scheme and key, each
+# length-prefixed u16 big-endian), built once when the identifier is made.
 
 def encode_body(body: EventBody) -> bytes:
     kind = _kind_of(body)
     out = [bytes([kind.tag])]
     for attr, _, is_int in kind.fields:
         value = getattr(body, attr)
-        out.append(bytes([value]) if is_int else _enc_ident(value))
+        out.append(bytes([value]) if is_int else value.encoded)
     return b"".join(out)
 
 
@@ -563,7 +556,7 @@ def parse_log(data: bytes) -> Ledger:
         if required is not None and event.signer != required:
             raise VerifyError(i, "signer does not match the identifier the body speaks for")
         events.append(event)
-    return Ledger(events)
+    return Ledger._view(_Backing(events), len(events), frozenset())
 
 
 def write_log(path, ledger: Ledger) -> None:

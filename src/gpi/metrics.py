@@ -10,8 +10,8 @@ the quantities the community checkers and simulations are built on:
   computed exactly for graphs of up to EXACT_CONDUCTANCE_LIMIT = 20
   vertices by enumerating every split A as a 0/1 vector x, with
   e(A, A^c) = x^T (D - Adj) x summed from tables over two vertex halves
-  and one cross-table product (the minimum is settled in exact rationals,
-  so argmin ties are resolved deterministically);
+  and one cross-table product; float32 ratios are exact enough to pick out
+  every minimiser, and ties go to the lexicographically smallest split;
 
 * the random-walk spectrum: lambda(G) is the largest modulus among the
   non-principal eigenvalues of D^-1 A, and the signed second-largest
@@ -215,9 +215,9 @@ def conductance_exact(graph: Graph) -> ConductanceResult:
     in float32, exact because every entry is an integer of magnitude at most
     n(n-1); the cell A = V is left out.  The ratios are float32 quotients
     too: correct rounding keeps equal fractions equal, and distinct ones
-    differ by at least 1/380^2, far above its error, so the cells within
-    1e-9 of the least are exactly the minimisers.  The minimum is settled in
-    exact rationals; among tied splits the lexicographically smallest A
+    differ by at least 1/380^2, far above its error, so the cells equal to
+    the least are exactly the minimisers.  The value is the exact fraction
+    of one of them; among tied splits the lexicographically smallest A
     containing vertex 0 is returned.  Disconnected graphs are reported as
     exactly 0 with a witnessing component rather than raising.  Raises
     TooLarge beyond EXACT_CONDUCTANCE_LIMIT vertices; callers should fall
@@ -249,18 +249,15 @@ def conductance_exact(graph: Graph) -> ConductanceResult:
     np.minimum(den, deg.sum() - den, out=den)
     cut[-1, -1], den[-1, -1] = np.inf, 1  # A = V has no complement; its ratio is inf
     ratio = cut / den
-    best: Fraction | None = None
-    best_set: tuple[int, ...] | None = None
-    for i, j in zip(*np.nonzero(ratio <= ratio.min() + 1e-9)):
-        value = Fraction(int(cut[i, j]), int(den[i, j]))
-        if best is not None and value > best:
-            continue
-        mask = (2 * int(i) + 1) | int(j) << h
-        members = tuple(v for v in range(n) if mask >> v & 1)
-        if best is None or value < best or members < best_set:
-            best, best_set = value, members
-    assert best is not None and best_set is not None
-    return ConductanceResult(best, frozenset(best_set))
+    i, j = np.nonzero(ratio == ratio.min())
+    value = Fraction(int(cut[i[0], j[0]]), int(den[i[0], j[0]]))
+    masks = (2 * i + 1) | j << h
+    rest = masks & ~1  # vertex 0 is in every split
+    while len(masks) > 1:  # keep the least next member, as a bit; 0 when none is left
+        nxt = rest & -rest
+        keep = nxt == nxt.min()
+        masks, rest = masks[keep], (rest ^ nxt)[keep]
+    return ConductanceResult(value, frozenset(v for v in range(n) if int(masks[0]) >> v & 1))
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,8 @@ def _trace(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
         except KeyError:
             pass
     state = _walk(ledger, registry)
-    seqs = tuple(state.analysis.introduced_at)
-    slot[0] = (len(ledger), seqs, tuple(map(registry.actor.__getitem__, seqs)), state)
+    # declarer holds the actor _walk read for each introduced seq, in seq order
+    slot[0] = (len(ledger), tuple(state.analysis.introduced_at), tuple(state.declarer.values()), state)
     return state
 
 

@@ -78,8 +78,6 @@ class MeanWithError(NamedTuple):
 def _mean_with_error(series: np.ndarray) -> MeanWithError:
     """Batch-means estimate; plain std/sqrt(n) would ignore autocorrelation."""
     m = len(series)
-    if m == 0:
-        return MeanWithError(math.nan, math.nan)
     mean = float(series.mean())
     b = min(_BATCHES, m)
     if b < 2:

@@ -253,6 +253,15 @@ class TestCheckCommand:
         capsys.readouterr()
         assert code == 1
 
+    def test_theorem2_one_member_grown_community_gets_a_verdict(self, tmp_path, capsys):
+        flags = write_theorem2_inputs(tmp_path, "a b\nb c\n", {"community": ["a"], "grown": ["a"]}, {"byzantine": []},
+                                      {"d": 2, "alpha": 0.5, "beta": 0.25, "gamma": 0.1, "delta": 0.1})
+        assert main(["check", "theorem2", *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "fail"
+        assert out["conditions"][5] == {"index": 6, "description": "induced conductance above threshold",
+                                        "passed": False, "detail": "conductance undefined for a one-member community"}
+
 
 def write_theorem2_inputs(directory: Path, edges: str, ids, cls, params) -> list[str]:
     """Write the four ``check theorem2`` inputs; return their flags."""

@@ -198,6 +198,13 @@ class TestChecker:
         cond3 = report.conditions[2]
         assert cond3.passed
 
+    def test_one_member_grown_community_fails_condition_six(self):
+        params = Theorem2Params(d=2, alpha=Fraction(1, 2), beta=Fraction(1, 4), gamma=0, delta=0)
+        report = theorem2_check(Graph.from_edges(3, [(0, 1), (1, 2)]), {0}, {0}, params, set())
+        assert (report.conditions[5].passed, report.conditions[5].detail) == (
+            False, "conductance undefined for a one-member community")
+        assert report.verdict == "fail"
+
     def test_beta_plus_delta_over_half_fails_regardless(self):
         g = complete_graph(6)
         params = Theorem2Params(

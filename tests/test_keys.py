@@ -52,6 +52,7 @@ class TestPublicIdentifier:
         v = PublicIdentifier("ed25519", KEY)
         again = pickle.loads(pickle.dumps(v))
         assert again == v and type(again) is PublicIdentifier and again.label == v.label
+        assert again.encoded == v.encoded
 
     def test_every_mention_of_a_key_in_a_parsed_ledger_is_one_object(self):
         ledger = parse_log(serialize_log(random_scenario(3).ledger))
@@ -64,6 +65,7 @@ class TestPublicIdentifier:
         assert mentions > 2 * len(seen)  # keys really are mentioned more than once
 
     def test_every_identifier_fits_the_u16_length_prefixes_of_a_body(self):
+        assert PublicIdentifier("mock", KEY).encoded == b"\x00\x04mock\x00\x04\x00\xff\x10\xa0"
         assert PublicIdentifier("m" * 0xFFFF, b"\x01" * 0xFFFF).key_bytes == b"\x01" * 0xFFFF
         for scheme, key in (("mock", b"\x01" * 0x10000), ("é" * 0x8000, KEY)):
             with pytest.raises(ValueError, match="longer than 65535 bytes"):

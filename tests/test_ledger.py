@@ -159,6 +159,7 @@ class TestBodies:
             encode_body(Pledge(1, k2.public, k1.public)),
         }
         assert len(seen) == 5
+        assert encode_body(Pledge(2, k1.public, k2.public)) == b"\x04\x02" + k1.public.encoded + k2.public.encoded
 
 
 class TestVerify:

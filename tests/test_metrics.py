@@ -111,15 +111,26 @@ class TestConductance:
             conductance_exact(cycle_graph(25))
 
     def test_matches_brute_force(self):
-        # odd and even n, so both equal and unequal halves are covered
+        # odd and even n, so both equal and unequal halves are covered; the
+        # named families tie many splits at the minimum
         rng = np.random.default_rng(7)
+        graphs = []
         for n in range(3, 13):
             for p in (0.4, 0.8):
                 g = random_graph(n, p, rng)
                 while not g.is_connected():
                     g = random_graph(n, p, rng)
-                result = conductance_exact(g)
-                assert (result.value, result.argmin) == brute_conductance(g)
+                graphs.append(g)
+            graphs += [complete_graph(n), cycle_graph(n), Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]),
+                       Graph.from_edges(n, [(0, i) for i in range(1, n)])]
+        graphs += [
+            Graph.from_edges(7, [(i, j) for i in range(3) for j in range(3, 7)]),  # K3,4
+            Graph.from_edges(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]),  # Q3
+            petersen_graph(),
+        ]
+        for g in graphs:
+            result = conductance_exact(g)
+            assert (result.value, result.argmin) == brute_conductance(g)
 
     @pytest.mark.parametrize(
         "graph,value,argmin",

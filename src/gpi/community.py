@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Optional
 
@@ -377,7 +377,7 @@ def theorem2_check(
         detail6 = "conductance undefined for a one-member community"
     else:
         threshold = (params.gamma / params.alpha) * (1 - params.beta) / params.beta
-        sub, _ = graph.induced(grown)
+        sub = graph if len(grown) == graph.n else graph.induced(grown)[0]  # G keeps its stored Phi
         try:
             phi = conductance_exact(sub).value
             cond6 = phi > threshold
@@ -455,8 +455,9 @@ def random_lemma_instance(seed: int, index: int = 0) -> LemmaInstance | None:
 
     Samples a connected dense-ish graph, a small byzantine set and a small
     growth step, infers the tightest constants and picks a feasible beta.
-    Returns None when the sampled geometry admits no feasible beta (caller
-    draws again); sampling is deterministic per (seed, index).
+    Returns None when 40 graph draws give no connected graph, or when the
+    sampled geometry admits no feasible beta (caller draws again); sampling
+    is deterministic per (seed, index).
     """
     rng = substream(seed, LEMMA_INSTANCES, index)
     n = int(rng.integers(6, _LEMMA_MAX_N + 1))
@@ -469,7 +470,7 @@ def random_lemma_instance(seed: int, index: int = 0) -> LemmaInstance | None:
             if rng.random() < p_edge
         ]
         graph = Graph.from_edges(n, edges)
-        if graph.is_connected() and min(graph.degrees) >= 1:
+        if graph.is_connected():
             break
     else:
         return None
@@ -478,15 +479,11 @@ def random_lemma_instance(seed: int, index: int = 0) -> LemmaInstance | None:
     drop = int(rng.integers(0, max(1, n // 5) + 1))
     removable = list(rng.permutation(n))[:drop]
     community = grown - frozenset(int(v) for v in removable)
-    if not community:
-        community = grown
     n_byz = int(rng.integers(0, 3))
     byzantine = frozenset(int(v) for v in rng.permutation(n)[:n_byz])
 
     base = infer_params(graph, community, grown, byzantine, beta=Fraction(1, 2))
-    phi = conductance_exact(graph).value  # grown is every vertex
-    if base.alpha == 0 or phi == 0:
-        return None
+    phi = conductance_exact(graph).value  # grown is every vertex, so theorem2_check reuses it
     # beta must cover the byzantine share of A, exceed the conductance
     # threshold gamma/(gamma + phi*alpha), and leave room for delta
     share = Fraction(len(community & byzantine), len(community))
@@ -495,10 +492,5 @@ def random_lemma_instance(seed: int, index: int = 0) -> LemmaInstance | None:
     lower = max(share, floor)
     if lower >= upper:
         return None
-    beta = lower + (upper - lower) * Fraction(1, 3)
-    if beta <= floor:  # conductance condition is strict
-        return None
-    params = Theorem2Params(
-        d=base.d, alpha=base.alpha, beta=beta, gamma=base.gamma, delta=base.delta
-    )
-    return LemmaInstance(graph, community, grown, byzantine, params)
+    beta = lower + (upper - lower) * Fraction(1, 3)  # > lower >= floor: condition 6 is strict
+    return LemmaInstance(graph, community, grown, byzantine, replace(base, beta=beta))

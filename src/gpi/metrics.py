@@ -70,7 +70,7 @@ class InfeasibleDegree(ValueError):
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("n", "adj", "labels", "_degrees")
+    __slots__ = ("n", "adj", "labels", "_degrees", "_conductance")
 
     def __init__(
         self,
@@ -82,6 +82,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self.labels: tuple[str, ...] | None = tuple(labels) if labels is not None else None
         self._degrees: np.ndarray | None = None
+        self._conductance: ConductanceResult | None = None
         if len(self.adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         if self.labels is not None and len(self.labels) != n:
@@ -221,8 +222,16 @@ def conductance_exact(graph: Graph) -> ConductanceResult:
     containing vertex 0 is returned.  Disconnected graphs are reported as
     exactly 0 with a witnessing component rather than raising.  Raises
     TooLarge beyond EXACT_CONDUCTANCE_LIMIT vertices; callers should fall
-    back to the spectral bounds there.
+    back to the spectral bounds there.  The result is stored on the graph,
+    as ``Graph.degrees`` stores the degrees, and later calls return it.
     """
+    if graph._conductance is None:
+        graph._conductance = _split_tables(graph)
+    return graph._conductance
+
+
+def _split_tables(graph: Graph) -> ConductanceResult:
+    """``conductance_exact`` computed afresh."""
     n = graph.n
     if n < 2:
         raise ValueError("conductance needs at least two vertices")

@@ -123,6 +123,7 @@ class _OracleState:
     corrupt: frozenset[str]
     last_fresh: dict[str, int]  # agent -> seq of its latest fresh declaration
     declarer: dict[PublicIdentifier, str]  # rightful owner (actor of intro event)
+    seqs: tuple[int, ...]  # the introduced seqs whose actors declarer holds, in its order
 
 
 def _trace(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
@@ -137,14 +138,10 @@ def _trace(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
     slot = ledger.derived("oracle", lambda: [None])
     if slot[0] is not None and slot[0][0] == len(ledger):
         _, seqs, actors, state = slot[0]
-        try:
-            if tuple(map(registry.actor.__getitem__, seqs)) == actors:
-                return state
-        except KeyError:
-            pass
+        if tuple(map(registry.actor.get, seqs)) == actors:  # a missing actor reads None
+            return state
     state = _walk(ledger, registry)
-    # declarer holds the actor _walk read for each introduced seq, in seq order
-    slot[0] = (len(ledger), tuple(state.analysis.introduced_at), tuple(state.declarer.values()), state)
+    slot[0] = (len(ledger), state.seqs, tuple(state.declarer.values()), state)
     return state
 
 
@@ -155,8 +152,10 @@ def _walk(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
     dead_by: dict[str, float] = {}  # agent -> seq by which all its lineages so far are nullified
     last_fresh: dict[str, int] = {}
     declarer: dict[PublicIdentifier, str] = {}
+    seqs: list[int] = []
 
     for seq, v in a.introduced_at.items():  # in seq order
+        seqs.append(seq)
         h = declarer[v] = registry.actor_of(seq)
         if a.update_valid.get(seq, False):
             continue  # a later member of the lineage walked from its root
@@ -171,7 +170,7 @@ def _walk(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
         dead_by[h] = max(dead_by.get(h, -1), a.nullified_at.get(members[-1], math.inf))
         last_fresh[h] = seq
 
-    return _OracleState(a, frozenset(sybils), frozenset(corrupt), last_fresh, declarer)
+    return _OracleState(a, frozenset(sybils), frozenset(corrupt), last_fresh, declarer, tuple(seqs))
 
 
 def classify(ledger: Ledger, registry: AgentRegistry) -> ClassificationReport:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -120,6 +121,10 @@ class TestLedgerCommands:
     def test_graph_prefix_flag(self, pledged_log, capsys):
         assert main(["ledger", "graph", str(pledged_log), "--type", "3", "--at", "4"]) == 0
         assert capsys.readouterr().out == ""  # only one direction pledged yet
+
+    def test_graph_prefix_past_the_log_exits_two(self, pledged_log, capsys):
+        assert main(["ledger", "graph", str(pledged_log), "--type", "3", "--at", "8"]) == 2
+        assert capsys.readouterr() == ("", "ValueError: prefix 8 out of range 0..7\n")
 
     def test_inputs_never_mutated(self, pledged_log, capsys, tmp_path):
         digest = hashlib.sha256(pledged_log.read_bytes()).hexdigest()
@@ -261,6 +266,19 @@ class TestCheckCommand:
         assert out["verdict"] == "fail"
         assert out["conditions"][5] == {"index": 6, "description": "induced conductance above threshold",
                                         "passed": False, "detail": "conductance undefined for a one-member community"}
+
+    @pytest.mark.parametrize("params, index, detail", [
+        ({"d": 0, "alpha": 0.5, "beta": 0.25, "gamma": 0.1, "delta": 0.5}, 2, "degree bound is 0"),
+        ({"d": 2, "alpha": 0, "beta": 0.25, "gamma": 0.1, "delta": 0.5}, 6,
+         "conductance threshold undefined for alpha=0 or beta=0"),
+    ], ids=["d-0", "alpha-0"])
+    def test_theorem2_degenerate_params_fail_their_condition(self, tmp_path, capsys, params, index, detail):
+        flags = write_theorem2_inputs(tmp_path, "a b\nb c\n", {"community": ["a", "b"], "grown": ["a", "b", "c"]},
+                                      {"byzantine": []}, params)
+        assert main(["check", "theorem2", *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "fail"
+        assert (out["conditions"][index - 1]["passed"], out["conditions"][index - 1]["detail"]) == (False, detail)
 
 
 def write_theorem2_inputs(directory: Path, edges: str, ids, cls, params) -> list[str]:
@@ -549,6 +567,16 @@ class TestSimCommands:
         assert code == 1
         assert captured.err == "seed 0: measured lambda 0.6667 exceeds target 0.09\n"
         assert "Traceback" not in captured.out + captured.err
+
+    def test_corollary1_penetration_over_the_bound_exits_one(self, monkeypatch, capsys):
+        experiment = sim.expander_bound_experiment
+        monkeypatch.setattr(sim, "expander_bound_experiment",
+                            lambda *args, **kwargs: dataclasses.replace(experiment(*args, **kwargs), ok=False))
+        assert main(["sim", "corollary1", "--n", "20", "--d", "5", "--p", "1.0", "--rounds", "100",
+                     "--lambda-target", "1"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ok"] is False
+        assert captured.err == "measured penetration exceeds the bound\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Community replay, penetration and the growth-guarantee checker."""
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -19,11 +20,15 @@ from gpi.community import (
     vertices_of,
 )
 from gpi.ledger import Ledger
+from gpi import metrics
 from gpi.metrics import Graph
 from gpi.oracle import classify
 from gpi.sim import SimConfig, run_agent_sim
 
 from helpers import bf_community_at
+
+LEMMA_STREAM_DIGEST = "dffc530de66951b59d36a4bc0d4904fcac43566a492fd7ab294dca2ce427af7c"
+
 
 def star_graph() -> Graph:
     return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -287,6 +292,68 @@ class TestChecker:
             assert actual <= inst.params.beta
             checked += 1
         assert checked > 150
+
+    def test_growth_checker_stream_is_pinned(self):
+        # SHA-256 over the seed-777 draws 0..1999: None for a refused draw,
+        # else the instance's graph, sets and params and its check.  A change
+        # to any draw, instance or verdict re-pins it and says why in CHANGES.md.
+        digest = hashlib.sha256()
+        for index in range(2000):
+            inst = random_lemma_instance(seed=777, index=index)
+            if inst is None:
+                digest.update(b"None\n")
+                continue
+            report = theorem2_check(inst.graph, inst.community, inst.grown, inst.params, inst.byzantine)
+            p = inst.params
+            digest.update(repr((inst.graph.adj, sorted(inst.community), sorted(inst.grown), sorted(inst.byzantine),
+                                p.d, p.alpha, p.beta, p.gamma, p.delta, report.to_dict())).encode() + b"\n")
+        assert digest.hexdigest() == LEMMA_STREAM_DIGEST
+
+
+class TestConductanceOnce:
+    """One split-table run per graph: the sampler and the checker share it."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch) -> list[int]:
+        sizes: list[int] = []
+        split_tables = metrics._split_tables
+
+        def counting_split_tables(graph):
+            sizes.append(graph.n)
+            return split_tables(graph)
+
+        monkeypatch.setattr(metrics, "_split_tables", counting_split_tables)
+        return sizes
+
+    def test_one_run_per_draw_of_the_growth_checker(self, runs):
+        accepted = draws = 0
+        while accepted < 2000:
+            before = len(runs)
+            inst = random_lemma_instance(seed=777, index=draws)
+            draws += 1
+            if inst is not None:
+                report = theorem2_check(inst.graph, inst.community, inst.grown, inst.params, inst.byzantine)
+                assert report.guarantee and report.conductance_mode == "exact"
+                accepted += 1
+            assert len(runs) - before == 1, draws - 1
+        assert (draws, len(runs)) == (3016, 3016)
+
+    def test_the_stored_result_is_returned(self, runs):
+        g = complete_graph(5)
+        assert metrics.conductance_exact(g) is metrics.conductance_exact(g)
+        assert runs == [5]
+
+    def test_a_smaller_grown_set_reads_its_induced_subgraph(self, runs):
+        # Phi(G) = 1/2 for the path 0-1-2-3 plus the chord 0-2, but the grown
+        # set {0, 1, 2} induces a triangle, Phi = 1; the stored Phi(G) must not answer
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+        params = Theorem2Params(d=3, alpha=Fraction(1, 3), beta=Fraction(1, 4), gamma=Fraction(1, 10), delta=0)
+        metrics.conductance_exact(g)
+        report = theorem2_check(g, {0, 1, 2}, {0, 1, 2}, params, set())
+        sub = g.induced({0, 1, 2})[0]
+        fresh = theorem2_check(sub, {0, 1, 2}, {0, 1, 2}, params, set())
+        assert report.conditions[5] == fresh.conditions[5]
+        assert f"Phi(G|A') = {metrics.conductance_exact(sub).value} " in report.conditions[5].detail
 
 
 class TestLabelMatching:

@@ -82,6 +82,10 @@ def split_probes() -> list[tuple[str, bytes, int, bool, str, str, int]]:
          0, False, "ParseError", "bad signer identifier: identifier scheme id must be non-empty", 1),
         ("empty signer", log(0, lines[0].replace(b'"signer":"' + a_key, b'"signer":"')),
          0, False, "ParseError", "bad signer identifier: identifier key bytes must be non-empty", 1),
+        ("record a JSON array", log(1, b"[" + lines[1] + b"]"), 1, False, "ParseError", "record is not an object", 2),
+        ("payload a number", log(1, lines[1].replace(b'"payload":{"v":{"scheme":"mock","key":"' + b_key + b'"}}',
+                                                     b'"payload":5')),
+         1, False, "ParseError", "missing payload object", 2),
     ]
 
 

@@ -17,6 +17,11 @@ class TestGraphAt:
         assert g.edges == frozenset()
         assert g.vertices == {scenario.ident("a"), scenario.ident("b")}
 
+    def test_a_type_outside_1_to_4_raises(self, scenario):
+        scenario.declare("a", "ha")
+        with pytest.raises(ValueError, match="surety type must be 1..4, got 5"):
+            graph_at(scenario.ledger, len(scenario.ledger), 5)
+
     def test_mutual_pledges_make_an_edge_with_witnesses(self, scenario):
         scenario.declare("a", "ha")
         scenario.declare("b", "hb")

@@ -542,7 +542,11 @@ def parse_log(data: bytes) -> Ledger:
         raise ParseError(data.count(b"\n") + 1, "missing final newline")
     reader = _Reader()
     events: list[SignedEvent] = []
-    for i, raw in enumerate(data.split(b"\n")[:-1]):
+    start = 0
+    while start < len(data):  # walk the lines; a list of them would hold one object per line
+        stop = data.index(b"\n", start)
+        raw, start = data[start:stop], stop + 1
+        i = len(events)  # every earlier line became an event
         event = reader.read(raw, i)
         if event is None:
             _diagnose(raw, i)

@@ -22,8 +22,9 @@ the quantities the community checkers and simulations are built on:
   and ``lambda2_enclosure`` widens the computed lambda_2 into an interval
   certain to hold it;
 
-* maximum independent sets, exact by branch and bound up to
-  MIS_EXACT_LIMIT = 40 vertices and a min-degree greedy beyond that;
+* maximum independent sets, exact by branch and bound with a clique-cover
+  bound up to MIS_EXACT_LIMIT = 40 vertices and a min-degree greedy beyond
+  that;
 
 * a random d-regular graph generator that reports the measured lambda of
   each sample.  It pairs stubs and re-pairs the conflicting ones
@@ -425,9 +426,22 @@ MIS_EXACT_LIMIT = 40
 
 
 def max_independent_set(graph: Graph) -> IndependentSetResult:
-    """Maximum independent set, exact via branch and bound.
+    """Maximum independent set, exact by branch and bound with a clique-cover bound.
 
-    Beyond MIS_EXACT_LIMIT vertices a greedy set is returned and flagged
+    Each connected component is searched on its own, from the greedy set's
+    part in it.  A candidate with no candidate neighbour joins the set
+    outright; otherwise the search branches on the candidate of highest
+    degree (ties to the smaller index), including it before excluding it.
+    A node is pruned when its set size plus the number of cliques in a
+    greedy clique cover of its candidates (take the lowest candidate, add
+    the lowest candidate adjacent to every member so far, repeat) cannot
+    beat the best set so far, and only a strictly larger set replaces it.
+    So the answer is the greedy set when that is maximum, else the first
+    maximum set in search order; any upper bound on the candidates'
+    independence number, the plain candidate count included, returns that
+    same set.
+
+    Beyond MIS_EXACT_LIMIT vertices the greedy set is returned and flagged
     approximate.
     """
     if graph.n == 0:
@@ -442,7 +456,19 @@ def max_independent_set(graph: Graph) -> IndependentSetResult:
 
     def expand(cand: int, size: int, cur: int) -> None:
         nonlocal best_mask, best_size
-        if size + cand.bit_count() <= best_size:
+        # a set takes at most one vertex per clique of a greedy cover of cand
+        room = best_size - size
+        rest, cliques = cand, 0
+        while rest and cliques <= room:
+            low = rest & -rest
+            rest ^= low
+            common = rest & adj_masks[low.bit_length() - 1]
+            while common:
+                low = common & -common
+                rest ^= low
+                common &= adj_masks[low.bit_length() - 1]
+            cliques += 1
+        if cliques <= room:
             return
         if cand == 0:  # the bound above makes this a strictly larger set
             best_mask, best_size = cur, size
@@ -463,14 +489,12 @@ def max_independent_set(graph: Graph) -> IndependentSetResult:
 
     # independent components solve independently; their optima add up
     total_mask = 0
-    total_size = 0
     for comp in graph.components():
         comp_mask = sum(1 << v for v in comp)
         sub_greedy = greedy.intersection(comp)
         best_mask, best_size = sum(1 << v for v in sub_greedy), len(sub_greedy)
         expand(comp_mask, 0, 0)
         total_mask |= best_mask
-        total_size += best_size
     vertices = frozenset(v for v in range(graph.n) if total_mask >> v & 1)
     return IndependentSetResult(vertices, True)
 

@@ -194,6 +194,13 @@ class TestMetricsCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["size"] == 1 and out["exact"]
 
+    def test_mis_is_exact_up_to_the_limit(self, tmp_path, capsys):
+        for n, printed in ((MIS_EXACT_LIMIT, '"size": 20, "exact": true'), (MIS_EXACT_LIMIT + 1, '"exact": false')):
+            cycle = tmp_path / f"c{n}.edges"
+            cycle.write_text("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)))
+            assert main(["metrics", "mis", "--in", str(cycle)]) == 0
+            assert printed in capsys.readouterr().out, n
+
     def test_mis_beyond_exact_limit_is_the_min_scan_greedy(self, tmp_path, capsys):
         log, edges = tmp_path / "run.log", tmp_path / "run.edges"
         assert main(["sim", "grow", "--n0", "30", "--p", "0.5", "--k", "3",

@@ -25,7 +25,7 @@ from gpi.metrics import (
 )
 from gpi.rng import GRAPH_GEN, stream
 
-from helpers import bf_greedy_independent_set, bf_pairing_attempt, edges_of
+from helpers import bf_greedy_independent_set, bf_max_independent_set, bf_pairing_attempt, edges_of
 
 
 def complete_graph(n: int) -> Graph:
@@ -34,6 +34,22 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(offset + u, offset + v) for u, v in edges_of(g)]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
 
 
 def petersen_graph() -> Graph:
@@ -297,6 +313,39 @@ class TestIndependentSets:
 
     def test_greedy_on_cycle_takes_alternate_vertices(self):
         assert greedy_independent_set(cycle_graph(6)) == {0, 2, 4}
+
+    def test_same_sets_as_the_candidate_count_search(self):
+        """The clique-cover bound prunes more but returns the very set, not only its size."""
+        rng = np.random.default_rng(41)
+        small = [make(n) for n in range(1, 25) for make in (complete_graph, path_graph)]
+        small += [cycle_graph(n) for n in range(3, 25)]
+        small += [star_graph(leaves) for leaves in range(24)]
+        small += [complete_bipartite_graph(a, b) for a in range(1, 7) for b in range(a, 7)]
+        small.append(petersen_graph())
+        small += [random_graph(int(rng.integers(1, 31)), p, rng)
+                  for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8) for _ in range(12)]
+        small += [generate_regular_expander(n, d, seed).graph
+                  for n, d in CRITERION_7_FAMILY if n <= 30 for seed in range(8)]
+        parts = [g for g in small if g.n <= 10]  # up to four parts stay within the exact limit
+        unions = [disjoint_union(*(parts[int(i)] for i in rng.choice(len(parts), size=int(k))))
+                  for k in rng.integers(2, 5, size=30)]
+        for g in small + unions:
+            result = max_independent_set(g)
+            assert result.exact
+            assert result.vertices == bf_max_independent_set(g), edges_of(g)
+
+    def test_max_independent_set_is_pinned(self):
+        # sha256 of the sorted vertex lists as the candidate-count search returns them,
+        # at the sizes where that search takes seconds
+        graphs = [generate_regular_expander(n, d, seed).graph for n, d in CRITERION_7_FAMILY for seed in range(16)]
+        graphs += [cycle_graph(40), path_graph(40)]
+        graphs += [generate_regular_expander(40, 3, seed).graph for seed in range(16, 26)]
+        digest = hashlib.sha256()
+        for g in graphs:
+            result = max_independent_set(g)
+            assert result.exact
+            digest.update(json.dumps(sorted(result.vertices)).encode() + b"\n")
+        assert digest.hexdigest() == "facb6903e2f18d789a7377aec47be22034a8c9cccf6376b5a3b215a467728b0d"
 
 
 def star_graph(leaves: int) -> Graph:

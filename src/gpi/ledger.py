@@ -15,9 +15,10 @@ Each body type fixes who must sign it:
 * ``Reset``            -> the identifier being nullified
 * ``Pledge``           -> the pledging identifier
 * ``ResetEndorsement`` -> the endorsing identifier
-* ``CommunityAdd`` / ``CommunityRemove`` -> any registered community-admin
-  key.  Community governance is out of scope, so who gets to sign these is
-  a configuration choice (``Ledger.admins``), not a protocol rule.
+* ``CommunityAdd`` / ``CommunityRemove`` -> any key in the ``admins``
+  passed to ``append_event``.  Community governance is out of scope, so who
+  gets to sign these is the appender's choice, not ledger state or a
+  protocol rule.
 
 Concurrency: the events of a ledger value never change once it is
 constructed.  ``append_event`` returns a new value; a single writer per
@@ -36,6 +37,7 @@ import json
 import re
 from binascii import unhexlify
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, NoReturn, TypeVar, Union
 
 from .keys import KeyPair, PublicIdentifier, UnknownScheme, get_scheme
@@ -237,28 +239,21 @@ class Ledger:
     fresh backing.
     """
 
-    __slots__ = ("_backing", "_length", "admins")
+    __slots__ = ("_backing", "_length")
 
-    def __init__(
-        self,
-        events: Iterable[SignedEvent] = (),
-        admins: Iterable[PublicIdentifier] = (),
-    ):
+    def __init__(self, events: Iterable[SignedEvent] = ()):
         backing = list(events)
         for i, ev in enumerate(backing):
             if ev.seq != i:
                 raise ValueError(f"event at position {i} carries seq {ev.seq}")
         self._backing = _Backing(backing)
         self._length: int = len(backing)
-        self.admins: frozenset[PublicIdentifier] = frozenset(admins)
 
     def __len__(self) -> int:
         return self._length
 
     def __iter__(self) -> Iterator[SignedEvent]:
-        events = self._backing.events
-        for i in range(self._length):
-            yield events[i]
+        return islice(self._backing.events, self._length)
 
     def __getitem__(self, seq: int) -> SignedEvent:
         if not 0 <= seq < self._length:
@@ -266,8 +261,6 @@ class Ledger:
         return self._backing.events[seq]
 
     def __eq__(self, other: object) -> bool:
-        # Value identity is the event sequence; the admin set is append-time
-        # policy configuration and not part of the recorded log.
         if not isinstance(other, Ledger):
             return NotImplemented
         return self.events == other.events
@@ -292,18 +285,17 @@ class Ledger:
         return folds[key]  # type: ignore[return-value]
 
     @staticmethod
-    def _view(backing: _Backing, length: int, admins: frozenset[PublicIdentifier]) -> Ledger:
+    def _view(backing: _Backing, length: int) -> Ledger:
         out = Ledger.__new__(Ledger)
         out._backing = backing
         out._length = length
-        out.admins = admins
         return out
 
     def prefix(self, k: int) -> Ledger:
         """The ledger value containing exactly the events with seq < k."""
         if not 0 <= k <= self._length:
             raise ValueError(f"prefix length {k} out of range 0..{self._length}")
-        return self._view(self._backing, k, self.admins)
+        return self._view(self._backing, k)
 
     def _appended(self, event: SignedEvent) -> Ledger:
         backing = self._backing
@@ -311,22 +303,25 @@ class Ledger:
             backing.events.append(event)
         else:  # appending from a non-tip value: copy the prefix, fold nothing
             backing = _Backing(backing.events[: self._length] + [event])
-        return self._view(backing, self._length + 1, self.admins)
+        return self._view(backing, self._length + 1)
 
 
-def append_event(ledger: Ledger, body: EventBody, signer_key_pair: KeyPair) -> Ledger:
+def append_event(
+    ledger: Ledger,
+    body: EventBody,
+    signer_key_pair: KeyPair,
+    admins: Iterable[PublicIdentifier] = (),
+) -> Ledger:
     """Sign ``body`` with the key pair and append it at the next seq.
 
     Raises SignerMismatch if the key pair's public half is not the signer
-    the body requires (or, for community events, not a registered admin).
+    the body requires or, for community events, not one of ``admins``.
     """
     required = required_signer(body)
     public = signer_key_pair.public
     if required is None:
-        if public not in ledger.admins:
-            raise SignerMismatch(
-                "community add/remove must be signed by a registered admin key"
-            )
+        if public not in admins:
+            raise SignerMismatch("community add/remove must be signed by an admin key")
     elif public != required:
         raise SignerMismatch(
             f"body requires signer {required.label}, got {public.label}"
@@ -534,9 +529,9 @@ def parse_log(data: bytes) -> Ledger:
     identifier object.  Signatures are re-verified (VerifyError names the
     failing seq, also for an unregistered scheme) and so is the signer rule
     of every body that names its signer; community add/remove events are
-    checked cryptographically only, as admin membership is append-time
-    policy that the file does not record.  Seq values must be dense from 0.
-    The returned ledger has no admins; ``Ledger(events, admins)`` sets them.
+    checked cryptographically only, as the admin keys are ``append_event``'s
+    ``admins`` argument, which the file does not record.  Seq values must be
+    dense from 0.
     """
     if data and not data.endswith(b"\n"):
         raise ParseError(data.count(b"\n") + 1, "missing final newline")
@@ -560,7 +555,7 @@ def parse_log(data: bytes) -> Ledger:
         if required is not None and event.signer != required:
             raise VerifyError(i, "signer does not match the identifier the body speaks for")
         events.append(event)
-    return Ledger._view(_Backing(events), len(events), frozenset())
+    return Ledger._view(_Backing(events), len(events))
 
 
 def write_log(path, ledger: Ledger) -> None:

@@ -32,7 +32,7 @@ def _generator(seed: int, low: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, low], dtype=np.uint64)))
 
 
-def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+def stream(seed: int, stream_id: int) -> np.random.Generator:
     """An independent generator keyed by (seed, stream_id); seed lies in [0, 2**64)."""
     return _generator(seed, stream_id & _MASK)
 

@@ -35,6 +35,7 @@ is bit-reproducible regardless of parallelism.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
@@ -226,7 +227,7 @@ class _Emitter:
     def __init__(self, seed: int):
         self.admin = generate_keypair("mock", f"sim-admin:{seed}".encode())
         self.seed = seed
-        self.ledger = Ledger(admins=[self.admin.public])
+        self.ledger = Ledger()
         self.registry = AgentRegistry()
         self.registry.agents.add("admin")
         self.keys: dict[int, KeyPair] = {}
@@ -237,7 +238,7 @@ class _Emitter:
 
     def _record(self, body, keypair: KeyPair, agent: str) -> None:
         seq = len(self.ledger)
-        self.ledger = append_event(self.ledger, body, keypair)
+        self.ledger = append_event(self.ledger, body, keypair, (self.admin.public,))
         self.registry.actor[seq] = agent
         self.registry.agents.add(agent)
 
@@ -560,7 +561,9 @@ def expander_bound_experiment(
     bound = math.sqrt(lambda_target / p)
     single = partial(_expander_single, family, p, lambda_target, rounds)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawn, not fork: forking once numpy's BLAS threads run is unsafe
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             outcomes = tuple(pool.map(single, seeds))
     else:
         outcomes = tuple(map(single, seeds))

@@ -49,13 +49,13 @@ class Scenario:
     def use_admin(self, agent: str = "admin") -> KeyPair:
         if self.admin is None:
             self.admin = self.key("__admin__")
-            self.ledger = Ledger(self.ledger.events, [self.admin.public])
             self.registry.agents.add(agent)
         return self.admin
 
     def post(self, body: EventBody, signer: KeyPair, agent: str) -> int:
         seq = len(self.ledger)
-        self.ledger = append_event(self.ledger, body, signer)
+        admins = () if self.admin is None else (self.admin.public,)
+        self.ledger = append_event(self.ledger, body, signer, admins)
         self.registry.actor[seq] = agent
         self.registry.agents.add(agent)
         return seq

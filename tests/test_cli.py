@@ -111,6 +111,17 @@ class TestLedgerCommands:
         assert len(lines) == 2
         assert lines == sorted(lines)
 
+    def test_closed_stdout_exits_zero(self, pledged_log, monkeypatch):
+        # the consumer (head, less) closed the pipe: not an error
+        class ClosedPipe(io.StringIO):
+            def write(self, s: str) -> int:
+                raise BrokenPipeError
+
+        stdout = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["ledger", "graph", str(pledged_log), "--type", "3"]) == 0
+        assert stdout.closed
+
     def test_graph_formats(self, pledged_log, capsys):
         assert main(["ledger", "graph", str(pledged_log), "--type", "3", "--format", "json"]) == 0
         parsed = json.loads(capsys.readouterr().out)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from gpi.keys import UnknownScheme, generate_keypair
+from gpi.keys import _SCHEMES, MockScheme, PublicIdentifier, UnknownScheme, generate_keypair
 from gpi.ledger import (
     _Reader,
+    CommunityAdd,
     Declare,
     EncodingError,
     Ledger,
@@ -22,6 +23,7 @@ from gpi.ledger import (
     serialize_log,
     verify_event,
 )
+from gpi.sim import SimConfig, run_agent_sim
 
 from helpers import Scenario, noncanonical_probes
 
@@ -129,15 +131,48 @@ class TestAppend:
         assert branch_b[1].body.v == k3.public
 
     def test_community_event_requires_registered_admin(self):
-        from gpi.ledger import CommunityAdd
-
         k1, admin = kp(b"a"), kp(b"adm")
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         with pytest.raises(SignerMismatch):
             append_event(ledger, CommunityAdd(k1.public), admin)
-        ledger = Ledger(ledger.events, [admin.public])
-        ledger = append_event(ledger, CommunityAdd(k1.public), admin)
+        ledger = append_event(ledger, CommunityAdd(k1.public), admin, [admin.public])
         assert len(ledger) == 2
+
+    def test_admin_policy_is_not_ledger_state(self):
+        # a ledger value is its events: the parsed copy of a sim-emitted log
+        # equals it and accepts exactly the community appends it accepts
+        assert Ledger.__slots__ == ("_backing", "_length")
+        result = run_agent_sim(
+            SimConfig(n0=10, p=0.5, k=3, sybil_rate=0.5, steps=60, burn_in=6, seed=3),
+            emit_ledger=True,
+        )
+        emitted = result.ledger
+        parsed = parse_log(serialize_log(emitted))
+        assert parsed == emitted
+        admin, other = generate_keypair("mock", b"sim-admin:3"), kp(b"not-admin")
+        assert {ev.signer for ev in emitted if isinstance(ev.body, CommunityAdd)} == {admin.public}
+        body = CommunityAdd(kp(b"newcomer").public)
+        for ledger in (emitted, parsed):
+            assert append_event(ledger, body, admin, [admin.public])[len(ledger)].body == body
+            with pytest.raises(SignerMismatch):
+                append_event(ledger, body, admin, [other.public])
+            with pytest.raises(SignerMismatch):
+                append_event(ledger, body, admin)
+
+    def test_wrong_produced_signature_is_refused(self, monkeypatch):
+        class Broken(MockScheme):
+            name = "broken"
+
+            def sign(self, secret: bytes, message: bytes) -> bytes:
+                return bytes(32)  # never the mock signature that verify expects
+
+            def verify(self, key_bytes: bytes, message: bytes, sig: bytes) -> bool:
+                return MockScheme.sign(self, key_bytes, message) == sig
+
+        monkeypatch.setitem(_SCHEMES, Broken.name, Broken())
+        k1 = kp(b"a", Broken.name)
+        with pytest.raises(SignerMismatch, match="produced signature failed verification"):
+            append_event(Ledger(), Declare(k1.public), k1)
 
 
 class TestBodies:
@@ -172,8 +207,9 @@ class TestVerify:
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         assert verify_event(ledger[0])
 
-    def test_flipped_signature_bit_fails(self):
-        k1 = kp(b"a")
+    @pytest.mark.parametrize("scheme", ["mock", "ed25519"])
+    def test_flipped_signature_bit_fails(self, scheme):
+        k1 = kp(b"a", scheme)
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         ev = ledger[0]
         sig = bytearray(ev.signature)
@@ -184,8 +220,6 @@ class TestVerify:
         k1 = kp(b"a")
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         ev = ledger[0]
-        from gpi.keys import PublicIdentifier
-
         bogus = SignedEvent(0, ev.body, PublicIdentifier("nope", b"x"), ev.signature)
         with pytest.raises(UnknownScheme):
             verify_event(bogus)
@@ -194,6 +228,13 @@ class TestVerify:
         k1 = kp(b"a", scheme="ed25519")
         ledger = append_event(Ledger(), Declare(k1.public), k1)
         assert verify_event(ledger[0])
+
+    def test_ed25519_short_key_does_not_verify(self):
+        # a 31-byte key is no ed25519 public key: verify says False, not raises
+        k1 = kp(b"a", scheme="ed25519")
+        ev = append_event(Ledger(), Declare(k1.public), k1)[0]
+        short = PublicIdentifier("ed25519", k1.public.key_bytes[:-1])
+        assert not verify_event(SignedEvent(0, ev.body, short, ev.signature))
 
 
 class TestSerialization:
@@ -212,8 +253,9 @@ class TestSerialization:
         assert again == ledger
         assert serialize_log(again) == data
 
-    def test_tampered_signature_reports_failing_seq(self):
-        keys = [kp(bytes([i])) for i in range(4)]
+    @pytest.mark.parametrize("scheme", ["mock", "ed25519"])
+    def test_tampered_signature_reports_failing_seq(self, scheme):
+        keys = [kp(bytes([i]), scheme) for i in range(4)]
         ledger = Ledger()
         for key in keys:
             ledger = append_event(ledger, Declare(key.public), key)

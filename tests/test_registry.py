@@ -327,7 +327,7 @@ class TestFoldCache:
             SimConfig(n0=20, p=0.5, k=3, sybil_rate=0.5, steps=300, burn_in=30, seed=3),
             emit_ledger=True,
         )
-        ledger = Ledger(result.ledger.events, result.ledger.admins)  # a backing nobody folded
+        ledger = Ledger(result.ledger.events)  # a backing nobody folded
         built, folded = [], []
         init, advance = registry._Fold.__init__, registry._Fold.advance
 

@@ -140,7 +140,8 @@ def _cmd_ledger_graph(args: argparse.Namespace) -> int:
             indent=2,
         ) + "\n"
     else:  # dot
-        body = "\n".join(f'  "{a.hex}" -- "{b.hex}";' for a, b in sorted(graph.edges))
+        names = graph.hex_names()
+        body = "\n".join(f'  "{names[a]}" -- "{names[b]}";' for a, b in sorted(graph.edges))
         text = "graph sureties {\n" + body + ("\n" if body else "") + "}\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -247,11 +247,16 @@ def vertices_of(graph: Graph, labels: Iterable[str]) -> frozenset[int]:
     """The vertices carrying ``labels``, matched on the hex key.
 
     A label is bare hex or ``scheme:hex``; one the graph lacks raises
-    ``UnknownLabel``.
+    ``UnknownLabel``.  Two graph labels with the same hex key cannot be told
+    apart this way, so they raise ValueError naming both.
     """
     if graph.labels is None:
         raise ValueError("graph carries no labels to match identifiers against")
-    index = {label.rpartition(":")[2]: v for v, label in enumerate(graph.labels)}
+    index: dict[str, int] = {}
+    for v, label in enumerate(graph.labels):
+        w = index.setdefault(label.rpartition(":")[2], v)
+        if w != v:
+            raise ValueError(f"graph labels {graph.labels[w]!r} and {label!r} share a hex key")
     out = set()
     for label in labels:
         v = index.get(label.rpartition(":")[2])

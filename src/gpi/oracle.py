@@ -19,12 +19,14 @@ Classification rules:
   an identifier and starting over does not make an honest agent corrupt.
 
 Lineage-end rule: a lineage's tip at seq ``s`` is nullified before ``s``
-exactly when its *last* member (its root followed along
-``LedgerAnalysis.consumed``) is.  An update of a nullified identifier is
-invalid, so a tip nullified before ``s`` is never superseded; and a later
-member cannot be nullified before it is introduced.  So one pass in
-introduction order, keeping per agent only the seq by which all its
-lineages so far are nullified, decides every fresh declaration.
+exactly when its *last* member is.  The members are its root followed
+along the valid updates: ``LedgerAnalysis.consumed`` gives the seq of the
+update superseding a member, and that event's ``new_v`` is the next one.
+An update of a nullified identifier is invalid, so a tip nullified before
+``s`` is never superseded; and a later member cannot be nullified before
+it is introduced.  So one pass in introduction order, keeping per agent
+only the seq by which all its lineages so far are nullified, decides
+every fresh declaration.
 
 An identifier is byzantine if it is a sybil or the genuine identifier of
 a corrupt agent; the rest are harmless.
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 from .keys import PublicIdentifier
-from .ledger import SURETY_TYPES, Ledger, Pledge
+from .ledger import SURETY_TYPES, Ledger, Pledge, Update
 from .registry import LedgerAnalysis, ProvenanceChain, analyze
 
 
@@ -154,16 +156,17 @@ def _walk(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
     declarer: dict[PublicIdentifier, str] = {}
     seqs: list[int] = []
 
-    for seq, v in a.introduced_at.items():  # in seq order
+    for v, seq in a.intro.items():  # in seq order
         seqs.append(seq)
         h = declarer[v] = registry.actor_of(seq)
-        if a.update_valid.get(seq, False):
+        body = ledger[seq].body
+        if isinstance(body, Update) and a.consumed.get(body.old_v) == seq:
             continue  # a later member of the lineage walked from its root
         # fresh declaration: genuine only if every earlier lineage of this
         # agent has been nullified by an effective reset before this event
         members = [v]
         while members[-1] in a.consumed:
-            members.append(a.introduced_at[a.consumed[members[-1]]])
+            members.append(ledger[a.consumed[members[-1]]].body.new_v)
         if dead_by.get(h, -1) >= seq:
             sybils.update(members)
             corrupt.add(h)

@@ -24,12 +24,13 @@ Every fact is stamped with the seq at which it became true, and an event's
 effect depends only on earlier events, so one fold per ledger backing
 (``analyze``) serves the ledger, each of its prefixes and the values
 appended at its tip: a prefix reads the cached fold by seq comparison.
-The fold keeps one seq-stamped table per kind of fact (``LedgerAnalysis``
-lists them).  Two of them index a fact another table holds too, so that it
-can be looked up from either side: ``introduced_at`` (seq -> identifier)
-inverts ``intro``, and ``mutual`` pairs the first seqs of the two directed
-pledges the fold also keeps per type.  A pending reset is dropped once its
-target is nullified, as nothing after that changes it.
+The fold keeps each fact in one table (``LedgerAnalysis`` lists them), and
+every table maps a key to the seq that made it true, or for ``mutual`` to
+a tuple that starts with that seq; so one rule cuts any table at a prefix.
+What the tables imply is read from them and the events: the identifier an
+update introduces is its ``new_v``, and an update at ``seq`` is valid iff
+``consumed[old_v] == seq``.  A pending reset is dropped once its target is
+nullified, as nothing after that changes it.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from bisect import bisect_left
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .keys import PublicIdentifier
 from .ledger import (
@@ -98,10 +98,7 @@ class _Fold:
     def __init__(self):
         self.length = 0  # events folded so far
         self.intro: dict[PublicIdentifier, int] = {}
-        self.introduced_at: dict[int, PublicIdentifier] = {}
-        self.duplicates: list[int] = []
-        self.update_valid: dict[int, bool] = {}
-        self.consumed: dict[PublicIdentifier, int] = {}
+        self.consumed: dict[PublicIdentifier, int] = {}  # seq of the valid update superseding it
         self.first_child: dict[PublicIdentifier, int] = {}  # first seq introducing a successor
         self.reset_at: dict[PublicIdentifier, int] = {}  # seq of the first reset
         self.nullified_at: dict[PublicIdentifier, int] = {}
@@ -128,37 +125,25 @@ class _Fold:
             out.update(u for u in per_type.get(v, ()) if v in per_type.get(u, ()) and u in self.intro)
         return frozenset(out)
 
-    def _introduce(self, v: PublicIdentifier, seq: int) -> None:
-        self.intro[v] = seq
-        self.introduced_at[seq] = v
-
     def advance(self, ledger: Ledger, k: int) -> None:
         """Fold the events of ``ledger`` from ``self.length`` up to seq ``k``."""
         for seq in range(self.length, k):
             body = ledger[seq].body
             if isinstance(body, Declare):
-                if body.v in self.intro:
-                    self.duplicates.append(seq)
-                else:
-                    self._introduce(body.v, seq)
+                self.intro.setdefault(body.v, seq)
             elif isinstance(body, Update):
                 old = body.old_v
                 self.referenced_old.setdefault(old, seq)
                 if body.new_v in self.intro:
-                    self.duplicates.append(seq)
                     continue
-                self._introduce(body.new_v, seq)
+                self.intro[body.new_v] = seq
                 self.first_child.setdefault(old, seq)
-                ok = (
-                    old in self.intro
-                    and self.intro[old] < seq
-                    and self.update_valid.get(self.intro[old], True)  # non-update heads are valid
-                    and old not in self.consumed
-                    and old not in self.nullified_at  # everything folded so far precedes seq
-                )
-                self.update_valid[seq] = ok
-                if ok:
-                    self.consumed[old] = seq
+                head = self.intro.get(old, seq)
+                # everything folded so far precedes seq
+                if head < seq and old not in self.consumed and old not in self.nullified_at:
+                    head_body = ledger[head].body  # non-update heads are valid
+                    if not isinstance(head_body, Update) or self.consumed.get(head_body.old_v) == head:
+                        self.consumed[old] = seq
             elif isinstance(body, Reset):
                 v = body.old_v
                 self.reset_at.setdefault(v, seq)
@@ -167,7 +152,7 @@ class _Fold:
                 if v in self.intro:
                     neighbors = self._mutual_neighbors(v)
                 else:  # a reset is still a declaration event of v, which has no neighbours yet
-                    self._introduce(v, seq)
+                    self.intro[v] = seq
                     neighbors = frozenset()
                 n = len(neighbors)
                 if n == 0:  # effective at once; neighbours only grow, so no reset of v is pending
@@ -201,20 +186,21 @@ _ABSENT = object()
 class _Cut(Mapping):
     """Read-only view of one fold table, cut to the facts stamped before ``k``.
 
-    ``stamp(key, value)`` is the seq at which an entry became true.  Stamps
-    never decrease in a table's insertion order, so iteration stops at the
-    first entry stamped at or after ``k``.  Every value is an int, an
-    identifier or a tuple, so it is handed out as it is.
+    Every value is the seq at which its entry became true, or a tuple that
+    starts with that seq, and ``bound`` is ``k`` or ``(k,)`` to match: a
+    tuple ``(s, t) < (k,)`` exactly when ``s < k``.  Stamps never decrease
+    in a table's insertion order, so iteration stops at the first entry at
+    or past the bound.  Values are ints or tuples, handed out as they are.
     """
 
-    __slots__ = ("_table", "_k", "_stamp")
+    __slots__ = ("_table", "_bound")
 
-    def __init__(self, table: dict, k: int, stamp: Callable):
-        self._table, self._k, self._stamp = table, k, stamp
+    def __init__(self, table: dict, bound: int | tuple[int]):
+        self._table, self._bound = table, bound
 
     def get(self, key, default=None):
         value = self._table.get(key, _ABSENT)
-        if value is _ABSENT or self._stamp(key, value) >= self._k:
+        if value is _ABSENT or value >= self._bound:
             return default
         return value
 
@@ -229,7 +215,7 @@ class _Cut(Mapping):
 
     def __iter__(self) -> Iterator:
         for key, value in self._table.items():
-            if self._stamp(key, value) >= self._k:
+            if value >= self._bound:
                 return
             yield key
 
@@ -244,21 +230,9 @@ class _CutItems(ItemsView):
     def __iter__(self) -> Iterator:  # one table lookup per entry
         cut = self._mapping
         for key, value in cut._table.items():
-            if cut._stamp(key, value) >= cut._k:
+            if value >= cut._bound:
                 return
             yield key, value
-
-
-def _by_key(key, value):
-    return key
-
-
-def _by_value(key, value):
-    return value
-
-
-def _by_first(key, value):
-    return value[0]
 
 
 class LedgerAnalysis:
@@ -268,62 +242,51 @@ class LedgerAnalysis:
     seq comparison, so the view of a prefix answers exactly what a fresh
     fold of that prefix would, and a view keeps answering for its ``k``
     after the fold advances.  Each table's view is made on first use.
-    The tables: ``intro``, ``introduced_at``, ``duplicates``, ``update_valid``,
-    ``consumed``, ``first_child``, ``reset_at``, ``nullified_at``,
-    ``referenced_old`` and ``mutual``; ``pledge_seqs(t)`` lists the pledge
-    events of one type.  Pending resets are not exposed.
+    The tables, each mapping a key to the seq that made it true:
+
+    * ``intro``: identifier -> its first introducing event (declaration,
+      update or reset);
+    * ``consumed``: identifier -> the valid update superseding it;
+    * ``first_child``: identifier -> the first update introducing a
+      successor of it, valid or not;
+    * ``referenced_old``: identifier -> the first update naming it as old;
+    * ``reset_at``: identifier -> its first reset;
+    * ``nullified_at``: identifier -> the event that made a reset of it
+      effective;
+    * ``mutual``: type -> {(u, v): (first seq of u -> v, of v -> u)}, the
+      pairs whose two directed pledges are both logged, u -> v the later,
+      so each tuple starts with the seq that completed its pair.
+
+    ``pledge_seqs(t)`` lists the pledge events of one type.  Pending resets
+    are not exposed.
     """
+
+    intro: Mapping[PublicIdentifier, int]
+    consumed: Mapping[PublicIdentifier, int]
+    first_child: Mapping[PublicIdentifier, int]
+    referenced_old: Mapping[PublicIdentifier, int]
+    reset_at: Mapping[PublicIdentifier, int]
+    nullified_at: Mapping[PublicIdentifier, int]
+    mutual: Mapping[int, Mapping[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]]
 
     def __init__(self, fold: _Fold, k: int):
         self._fold, self._k = fold, k
 
-    @cached_property
-    def intro(self) -> Mapping[PublicIdentifier, int]:
-        return _Cut(self._fold.intro, self._k, _by_value)
-
-    @cached_property
-    def introduced_at(self) -> Mapping[int, PublicIdentifier]:
-        return _Cut(self._fold.introduced_at, self._k, _by_key)
-
-    @cached_property
-    def duplicates(self) -> tuple[int, ...]:
-        return tuple(self._fold.duplicates[: bisect_left(self._fold.duplicates, self._k)])
+    def __getattr__(self, name: str):  # a table's first use: cut it at k and keep the view
+        if name not in LedgerAnalysis.__annotations__:
+            raise AttributeError(name)
+        table = getattr(self._fold, name)
+        if name == "mutual":
+            view = MappingProxyType({t: _Cut(pairs, (self._k,)) for t, pairs in table.items()})
+        else:
+            view = _Cut(table, self._k)
+        self.__dict__[name] = view
+        return view
 
     def pledge_seqs(self, surety_type: int) -> list[int]:
         """Seqs of every pledge event of one type, duplicates included, in order."""
         seqs = self._fold.pledge_seqs[surety_type]
         return seqs[: bisect_left(seqs, self._k)]
-
-    @cached_property
-    def update_valid(self) -> Mapping[int, bool]:
-        return _Cut(self._fold.update_valid, self._k, _by_key)
-
-    @cached_property
-    def consumed(self) -> Mapping[PublicIdentifier, int]:
-        return _Cut(self._fold.consumed, self._k, _by_value)
-
-    @cached_property
-    def first_child(self) -> Mapping[PublicIdentifier, int]:
-        return _Cut(self._fold.first_child, self._k, _by_value)
-
-    @cached_property
-    def reset_at(self) -> Mapping[PublicIdentifier, int]:
-        return _Cut(self._fold.reset_at, self._k, _by_value)
-
-    @cached_property
-    def nullified_at(self) -> Mapping[PublicIdentifier, int]:
-        return _Cut(self._fold.nullified_at, self._k, _by_value)
-
-    @cached_property
-    def referenced_old(self) -> Mapping[PublicIdentifier, int]:
-        """First seq of an update naming each identifier as its old side."""
-        return _Cut(self._fold.referenced_old, self._k, _by_value)
-
-    @cached_property
-    def mutual(self) -> Mapping[int, Mapping[tuple[PublicIdentifier, PublicIdentifier], tuple[int, int]]]:
-        """Mutual pairs per type: (u, v) -> (first seq of u -> v, of v -> u),
-        stamped by the later of the two."""
-        return MappingProxyType({t: _Cut(pairs, self._k, _by_first) for t, pairs in self._fold.mutual.items()})
 
 
 def analyze(ledger: Ledger) -> LedgerAnalysis:
@@ -347,10 +310,10 @@ def is_valid_update(ledger: Ledger, seq: int) -> bool:
     event = ledger[seq]
     if not isinstance(event.body, Update):
         raise NotAnUpdate(f"event {seq} is {type(event.body).__name__}, not Update")
-    return analyze(ledger).update_valid.get(seq, False)
+    return analyze(ledger).consumed.get(event.body.old_v) == seq
 
 
-def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
+def _thread_chains(ledger: Ledger, a: LedgerAnalysis) -> list[ProvenanceChain]:
     # The continuation of an identifier is the valid update consuming it if
     # one exists, else its earliest referencing update; all other updates of
     # the same identifier start chains of their own.
@@ -360,27 +323,26 @@ def _thread_chains(a: LedgerAnalysis) -> list[ProvenanceChain]:
 
     continuation_seqs = set(continuation.values())
     chains: list[ProvenanceChain] = []
-    for seq, cur_id in a.introduced_at.items():  # in seq order
+    for v, seq in a.intro.items():  # in seq order
         if seq in continuation_seqs:
             continue  # belongs to the middle of some chain
-        links: list[int] = []
-        idents: list[PublicIdentifier] = []
-        cur_seq = seq
+        links, idents, valid = [seq], [v], True
+        body = ledger[seq].body
         while True:
-            links.append(cur_seq)
-            idents.append(cur_id)
-            nxt = continuation.get(cur_id)
+            if isinstance(body, Update) and a.consumed.get(body.old_v) != links[-1]:
+                valid = False
+            nxt = continuation.get(idents[-1])
             if nxt is None:
                 break
-            cur_seq, cur_id = nxt, a.introduced_at[nxt]
-        valid = all(a.update_valid.get(s, True) for s in links)
-        maximal = cur_id not in a.referenced_old
+            body = ledger[nxt].body
+            links.append(nxt)
+            idents.append(body.new_v)
         chains.append(
             ProvenanceChain(
                 links=tuple(reversed(links)),
                 identifiers=tuple(reversed(idents)),
                 valid=valid,
-                maximal=maximal,
+                maximal=idents[-1] not in a.referenced_old,
             )
         )
     return chains
@@ -393,13 +355,13 @@ def provenance_chains(ledger: Ledger) -> list[ProvenanceChain]:
     valid iff every one of its update links is valid; its current (tip)
     identifier is computed structurally either way.
     """
-    return _thread_chains(analyze(ledger))
+    return _thread_chains(ledger, analyze(ledger))
 
 
 def current_identifiers(ledger: Ledger) -> frozenset[PublicIdentifier]:
     """Tips of maximal valid chains, minus identifiers nullified by reset."""
     a = analyze(ledger)
-    chains = _thread_chains(a)
+    chains = _thread_chains(ledger, a)
     return frozenset(
         c.current
         for c in chains

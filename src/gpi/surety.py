@@ -44,9 +44,26 @@ class SuretyGraph:
 
     edges = property(lambda self: self.witness.keys(), doc="The edges, a read-only view of ``witness``'s keys.")
 
+    def hex_names(self) -> dict[PublicIdentifier, str]:
+        """Each edge endpoint's bare key hex, its name in an edge list or dot file.
+
+        Two endpoints with the same key bytes under different schemes would
+        get one name, so they raise ValueError naming both labels.
+        """
+        owner: dict[str, PublicIdentifier] = {}
+        for v in {v for edge in self.edges for v in edge}:
+            w = owner.setdefault(v.hex, v)
+            if w != v:
+                first, second = sorted((w.label, v.label))
+                raise ValueError(
+                    f"{first} and {second} share key bytes, so naming vertices by bare hex would merge them"
+                )
+        return {v: name for name, v in owner.items()}
+
     def edgelist_lines(self) -> list[str]:
         """One ``hexid hexid`` pair per line, lexicographically sorted."""
-        return sorted(" ".join(sorted((a.hex, b.hex))) for a, b in self.edges)
+        names = self.hex_names()
+        return sorted(" ".join(sorted((names[a], names[b]))) for a, b in self.edges)
 
 
 def graph_at(ledger: Ledger, k: int, surety_type: int) -> SuretyGraph:

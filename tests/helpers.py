@@ -102,6 +102,19 @@ class Scenario:
             self.registry.key_owner[ident] = owners + (thief,)
 
 
+def shared_key_bytes_scenario() -> Scenario:
+    """``ed25519:X`` and ``mock:X`` (a mock key is its secret), each mutually type-3 pledged to ``c``."""
+    sc = Scenario()
+    ed = generate_keypair("ed25519", b"shared")
+    sc.keys["ed"] = ed
+    sc.keys["mock"] = KeyPair(PublicIdentifier("mock", ed.public.key_bytes), ed.public.key_bytes)
+    for name in ("ed", "mock", "c"):
+        sc.declare(name, "h" + name)
+    sc.mutual_pledge(3, "ed", "c", "hed", "hc")
+    sc.mutual_pledge(3, "mock", "c", "hmock", "hc")
+    return sc
+
+
 def timing_scenarios() -> dict[str, Scenario]:
     """The three committed pledge-timing vectors, rebuilt from scratch.
 
@@ -268,9 +281,6 @@ def fold_facts(a) -> tuple:
     """The seq-stamped fact families of a registry fold, as plain values."""
     return (
         dict(a.intro),
-        dict(a.introduced_at),
-        a.duplicates,
-        dict(a.update_valid),
         dict(a.consumed),
         dict(a.nullified_at),
         {t: dict(pairs) for t, pairs in a.mutual.items()},

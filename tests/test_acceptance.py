@@ -245,7 +245,7 @@ def test_criterion_8_protocol_property_suite():
         chains = provenance_chains(ledger)
 
         covered = sorted(s for c in chains for s in c.links)
-        assert covered == sorted(a.introduced_at), f"seed {seed}: partition broken"
+        assert covered == sorted(a.intro.values()), f"seed {seed}: partition broken"
 
         data = serialize_log(ledger)
         again = parse_log(data)
@@ -259,8 +259,8 @@ def test_criterion_8_protocol_property_suite():
 
         if seed % 5 == 0:
             for ev in ledger:
-                if isinstance(ev.body, Update) and ev.seq in a.introduced_at:
-                    full = a.update_valid.get(ev.seq, False)
+                if isinstance(ev.body, Update) and a.intro.get(ev.body.new_v) == ev.seq:
+                    full = is_valid_update(ledger, ev.seq)
                     for k in {ev.seq + 1, (ev.seq + 1 + len(ledger)) // 2, len(ledger)}:
                         assert is_valid_update(ledger.prefix(k), ev.seq) == full
 

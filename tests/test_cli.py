@@ -27,6 +27,7 @@ from helpers import (
     bf_series_from_ledger,
     edges_of,
     noncanonical_probes,
+    shared_key_bytes_scenario,
     timing_scenarios,
 )
 
@@ -128,6 +129,21 @@ class TestLedgerCommands:
         assert len(parsed["edges"]) == 2
         assert main(["ledger", "graph", str(pledged_log), "--type", "3", "--format", "dot"]) == 0
         assert "graph sureties" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dot", "json"])
+    def test_graph_refuses_hex_names_that_merge_identifiers(self, fmt, tmp_path, capsys):
+        sc = shared_key_bytes_scenario()
+        write_log(tmp_path / "shared.log", sc.ledger)
+        code = main(["ledger", "graph", str(tmp_path / "shared.log"), "--type", "3", "--format", fmt])
+        out, err = capsys.readouterr()
+        if fmt == "json":  # labels keep the scheme, so nothing merges
+            assert code == 0 and len(json.loads(out)["vertices"]) == 3
+            return
+        ed, mock = sc.ident("ed").label, sc.ident("mock").label
+        assert (code, out) == (2, "")
+        assert err == (
+            f"ValueError: {ed} and {mock} share key bytes, so naming vertices by bare hex would merge them\n"
+        )
 
     def test_graph_prefix_flag(self, pledged_log, capsys):
         assert main(["ledger", "graph", str(pledged_log), "--type", "3", "--at", "4"]) == 0
@@ -350,6 +366,8 @@ THEOREM2_PROBES = [
      "ValueError: alpha must lie in [0,1], got 2"),
     ("unknown-byzantine-label", "cls.json", {"byzantine": ["c"]}, 1,
      "identifier 'c' does not appear in the graph"),
+    ("graph-labels-sharing-a-hex-key", "g.edges", b"a:x b:x\nb:x c\n", 2,
+     "ValueError: graph labels 'a:x' and 'b:x' share a hex key"),
     # bytes are written as they are: a file that is not JSON at all
     ("classification-not-json", "cls.json", b"not json", 2,
      "ValueError: {path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
@@ -432,6 +450,40 @@ class TestJsonInputs:
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
         )
         assert "Traceback" not in captured.out + captured.err
+
+
+STEADY_STATE = ["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "20"]
+OBSERVATION2 = ["sim", "observation2", "--sigma-cap", "0.1", "--steps", "20", "--seeds", "2"]
+GROW = ["sim", "grow", "--n0", "30", "--p", "0.5", "--k", "3", "--sybil-rate", "0.2", "--steps", "20",
+        "--burn-in", "5", "--seed", "1"]
+COROLLARY1 = ["sim", "corollary1", "--n", "100", "--d", "50", "--lambda-target", "0.3", "--p", "1.0",
+              "--seeds", "2", "--rounds", "20"]
+
+# (id, argv, edge list written to {edges} or None, stderr line); a flag given twice takes its last value
+INPUT_CHECKS = [
+    ("conductance-three-labels", ["metrics", "conductance", "--in", "{edges}"], "a b c\n",
+     "ValueError: expected two labels per line, got 'a b c'"),
+    ("mis-self-loop", ["metrics", "mis", "--in", "{edges}"], "a a\n", "ValueError: self-loop at vertex 0"),
+    ("steady-state-k-0", [*STEADY_STATE, "--k", "0"], None, "ConfigError: n and k must be >= 1"),
+    ("steady-state-p-1.5", [*STEADY_STATE, "--p", "1.5"], None,
+     "ConfigError: detection probability must lie in (0, 1]"),
+    ("observation2-sigma-cap-2", [*OBSERVATION2, "--sigma-cap", "2"], None,
+     "ConfigError: sigma_cap must lie in [0, 1]"),
+    ("observation2-steps-0", [*OBSERVATION2, "--steps", "0"], None, "ConfigError: steps must be positive"),
+    ("grow-k-0", [*GROW, "--k", "0"], None, "ConfigError: component budget k must be >= 1"),
+    ("grow-sybil-rate-1.5", [*GROW, "--sybil-rate", "1.5"], None, "ConfigError: sybil_rate must lie in [0, 1]"),
+    ("grow-steps-0", [*GROW, "--steps", "0"], None, "ConfigError: steps must be positive"),
+    ("corollary1-p-0", [*COROLLARY1, "--p", "0"], None, "ConfigError: detection probability must lie in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("argv,edges,line", [pytest.param(*row[1:], id=row[0]) for row in INPUT_CHECKS])
+def test_input_check_exits_two_in_one_line(argv, edges, line, tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    if edges is not None:
+        path.write_text(edges)
+    assert main([arg.format(edges=path) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 class TestSimCommands:

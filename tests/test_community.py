@@ -371,6 +371,12 @@ class TestLabelMatching:
         with pytest.raises(UnknownLabel, match="'mock:cc'"):
             vertices_of(g, ["aa", "mock:cc"])
 
+    @pytest.mark.parametrize("label", ["a:x", "b:x", "c"])
+    def test_vertices_of_refuses_graph_labels_sharing_a_hex_key(self, label):
+        g = Graph.from_edgelist_lines(["a:x b:x", "b:x c"])
+        with pytest.raises(ValueError, match="^graph labels 'a:x' and 'b:x' share a hex key$"):
+            vertices_of(g, [label])
+
 
 class TestParamsFromDict:
     RAW = {"d": 5, "alpha": 1.0, "beta": 0.3, "gamma": "1/5", "delta": 0.2}

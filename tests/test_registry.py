@@ -33,7 +33,6 @@ class TestFirstDeclaration:
         scenario.declare("x2", "g")
         scenario.declare("v1", "g")  # re-declared at seq 3
         assert analyze(scenario.ledger).intro.get(scenario.ident("v1")) == 0
-        assert analyze(scenario.ledger).duplicates == (3,)
 
     def test_absent_identifier_returns_none(self, scenario):
         scenario.declare("v1", "h")
@@ -292,8 +291,6 @@ class TestFoldCache:
             a.mutual[2][v, w] = (0, 0)
         with pytest.raises(TypeError):
             a.mutual[2] = {}
-        with pytest.raises(AttributeError):
-            a.duplicates.append(0)
         a.nullified_at = {w: 0}  # rebinds this view's attribute only
         assert fold_facts(analyze(scenario.ledger)) == before
         assert reset_status(scenario.ledger, w).state == RESET_PENDING
@@ -318,7 +315,7 @@ class TestFoldCache:
         assert analyze(branch).intro.get(scenario.ident("b")) is None
         assert analyze(branch).intro.get(scenario.ident("b2")) is None
         assert analyze(branch).intro.get(c.public) == 1
-        assert dict(analyze(branch).introduced_at) == {0: scenario.ident("a"), 1: c.public}
+        assert dict(analyze(branch).intro) == {scenario.ident("a"): 0, c.public: 1}
         assert analyze(tip).intro.get(c.public) is None
         assert analyze(tip).intro.get(scenario.ident("b")) == 1
 

@@ -5,7 +5,8 @@ import pytest
 from gpi.registry import provenance_chains
 from gpi.surety import InvalidChain, graph_at, migrate_edges
 
-from helpers import random_scenario
+from gpi.metrics import Graph
+from helpers import random_scenario, shared_key_bytes_scenario
 
 
 class TestGraphAt:
@@ -167,3 +168,14 @@ class TestEdgelist:
             left, right = line.split()
             assert left <= right
             int(left, 16) and int(right, 16)
+
+    def test_identifiers_sharing_key_bytes_are_refused(self):
+        sc = shared_key_bytes_scenario()
+        g = graph_at(sc.ledger, len(sc.ledger), 3)
+        assert (len(g.vertices), len(g.edges)) == (3, 2)
+        # bare hex would name both identifiers alike: two equal lines, read back as one edge
+        lines = sorted(" ".join(sorted((a.hex, b.hex))) for a, b in g.edges)
+        assert len(set(lines)) == 1 and Graph.from_edgelist_lines(lines).n == 2
+        ed, mock = sc.ident("ed").label, sc.ident("mock").label
+        with pytest.raises(ValueError, match=f"^{ed} and {mock} share key bytes"):
+            g.edgelist_lines()

@@ -73,12 +73,12 @@ class VerifyError(LedgerError):
 # Event bodies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Declare:
     v: PublicIdentifier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update:
     new_v: PublicIdentifier
     old_v: PublicIdentifier
@@ -88,7 +88,7 @@ class Update:
             raise EncodingError("update must introduce a distinct identifier")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reset:
     old_v: PublicIdentifier
 
@@ -96,7 +96,7 @@ class Reset:
 SURETY_TYPES = (1, 2, 3, 4)  # the cumulative surety criteria a pledge may name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pledge:
     surety_type: int
     from_v: PublicIdentifier
@@ -109,18 +109,18 @@ class Pledge:
             raise EncodingError("a pledge to oneself is not allowed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResetEndorsement:
     target_v: PublicIdentifier
     endorser_v: PublicIdentifier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommunityAdd:
     v: PublicIdentifier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommunityRemove:
     v: PublicIdentifier
 
@@ -197,7 +197,7 @@ def encode_body(body: EventBody) -> bytes:
 # Signed events and the ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedEvent:
     seq: int
     body: EventBody
@@ -231,6 +231,8 @@ class _Backing:
 class Ledger:
     """Immutable totally-ordered sequence of verified signed events.
 
+    ``Ledger()`` is the empty ledger; every other value comes from
+    ``append_event`` or ``parse_log``, which verify each event they add.
     ``append_event`` returns a new ledger value; the original is unchanged.
     Appends at the tip share the backing list structurally, so building a
     long log by repeated appends stays O(1) amortized while every
@@ -241,13 +243,9 @@ class Ledger:
 
     __slots__ = ("_backing", "_length")
 
-    def __init__(self, events: Iterable[SignedEvent] = ()):
-        backing = list(events)
-        for i, ev in enumerate(backing):
-            if ev.seq != i:
-                raise ValueError(f"event at position {i} carries seq {ev.seq}")
-        self._backing = _Backing(backing)
-        self._length: int = len(backing)
+    def __init__(self) -> None:
+        self._backing = _Backing([])
+        self._length = 0
 
     def __len__(self) -> int:
         return self._length

@@ -31,13 +31,14 @@ every fresh declaration.
 An identifier is byzantine if it is a sybil or the genuine identifier of
 a corrupt agent; the rest are harmless.
 
-Cost: that pass reads the cached registry fold (``registry.analyze``) and
-is O(identifiers).  Its result is cached per ledger backing, for one
-ledger length at a time, and is reused while the registry names
-the same actor for every introduced seq, the only registry fact the pass
-reads.  So ``classify``, ``surety_violations`` and ``pledge_violation``
-on one ledger value share one pass; each later call pays an
-O(identifiers) actor comparison plus its own work.  A call on another
+Cost: that pass reads the cached registry fold (``registry.analyze``),
+is O(identifiers) and builds the ``ClassificationReport``.  Its result is
+cached per ledger backing, for one ledger length at a time, and is reused
+while the registry names the same actor for every introduced seq, the
+only registry fact the pass reads.  So ``classify``, ``surety_violations``
+and ``pledge_violation`` on one ledger value share one pass; each later
+call pays an O(identifiers) actor comparison and then its own work, which
+for ``classify`` is O(1): it returns the pass's report.  A call on another
 length (a prefix, or the same backing after an append) or after an actor
 edit walks again and replaces the cached pass.
 """
@@ -112,17 +113,14 @@ class AgentRegistry:
 class ClassificationReport:
     genuine: frozenset[PublicIdentifier]
     sybils: frozenset[PublicIdentifier]
-    honest_agents: frozenset[str]
     corrupt_agents: frozenset[str]
     byzantine: frozenset[PublicIdentifier]
-    harmless: frozenset[PublicIdentifier]
 
 
 @dataclass
 class _OracleState:
     analysis: LedgerAnalysis
-    sybils: frozenset[PublicIdentifier]
-    corrupt: frozenset[str]
+    report: ClassificationReport
     last_fresh: dict[str, int]  # agent -> seq of its latest fresh declaration
     declarer: dict[PublicIdentifier, str]  # rightful owner (actor of intro event)
     seqs: tuple[int, ...]  # the introduced seqs whose actors declarer holds, in its order
@@ -173,30 +171,20 @@ def _walk(ledger: Ledger, registry: AgentRegistry) -> _OracleState:
         dead_by[h] = max(dead_by.get(h, -1), a.nullified_at.get(members[-1], math.inf))
         last_fresh[h] = seq
 
-    return _OracleState(a, frozenset(sybils), frozenset(corrupt), last_fresh, declarer, tuple(seqs))
+    genuine = frozenset(declarer).difference(sybils)
+    byzantine = sybils | {v for v in genuine if declarer[v] in corrupt}
+    report = ClassificationReport(genuine, frozenset(sybils), frozenset(corrupt), frozenset(byzantine))
+    return _OracleState(a, report, last_fresh, declarer, tuple(seqs))
 
 
 def classify(ledger: Ledger, registry: AgentRegistry) -> ClassificationReport:
     """Split declared identifiers into genuine/sybil and derive agent status.
 
-    Runs the cached oracle pass (see the module docstring) and then costs
-    O(identifiers + agents + recorded actors): the agent sets read every
-    entry of ``registry.actor``, which a ``sim grow`` registry holds for
-    every event.
+    Returns the report of the cached oracle pass (see the module
+    docstring): after the actor comparison, O(1), and the same object for
+    every call the pass serves.
     """
-    state = _trace(ledger, registry)
-    declared = frozenset(state.declarer)
-    genuine = declared - state.sybils
-    agents = set(registry.agents) | set(registry.actor.values())
-    byzantine = state.sybils | {v for v in genuine if state.declarer[v] in state.corrupt}
-    return ClassificationReport(
-        genuine=genuine,
-        sybils=state.sybils,
-        honest_agents=frozenset(agents - state.corrupt),
-        corrupt_agents=state.corrupt,
-        byzantine=byzantine,
-        harmless=declared - byzantine,
-    )
+    return _trace(ledger, registry).report
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +222,7 @@ def _pledge_violation_reason(
         return "holder-not-declarer"
     if as_type < 3:
         return None
-    if to_v in state.sybils:
+    if to_v in state.report.sybils:
         return "target-sybil"
     if as_type < 4:
         return None

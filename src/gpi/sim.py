@@ -229,7 +229,6 @@ class _Emitter:
         self.seed = seed
         self.ledger = Ledger()
         self.registry = AgentRegistry()
-        self.registry.agents.add("admin")
         self.keys: dict[int, KeyPair] = {}
         # the adversary's own genuine identifier predates all sybils, so
         # every sybil it later declares is a later declaration of its agent

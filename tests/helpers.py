@@ -21,6 +21,7 @@ from gpi.ledger import (
     SignedEvent,
     Update,
     append_event,
+    parse_log,
     serialize_log,
 )
 from gpi.metrics import greedy_independent_set
@@ -275,6 +276,11 @@ def random_scenario(seed: int, n_events: int | None = None, with_resets: bool = 
         if rng.random() < 0.03 and declared:
             sc.compromise(declared[int(rng.integers(len(declared)))], "thief")
     return sc
+
+
+def fresh_backing(ledger: Ledger) -> Ledger:
+    """The events of ``ledger`` on a backing no fold has read: its log, parsed again."""
+    return parse_log(serialize_log(ledger))
 
 
 def fold_facts(a) -> tuple:

@@ -1,5 +1,6 @@
 """Identifier contract: equality, hashing, ordering and the printable forms."""
 
+import dataclasses
 import pickle
 import random
 
@@ -59,7 +60,8 @@ class TestPublicIdentifier:
         seen: dict[PublicIdentifier, PublicIdentifier] = {}
         mentions = 0
         for ev in ledger:
-            for v in (ev.signer, *(getattr(ev.body, f) for f in vars(ev.body) if f != "surety_type")):
+            names = [f.name for f in dataclasses.fields(ev.body) if f.name != "surety_type"]
+            for v in (ev.signer, *(getattr(ev.body, name) for name in names)):
                 assert seen.setdefault(v, v) is v
                 mentions += 1
         assert mentions > 2 * len(seen)  # keys really are mentioned more than once

@@ -1,6 +1,8 @@
 """Event log: append, verification, serialization."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -8,11 +10,14 @@ from gpi.keys import _SCHEMES, MockScheme, PublicIdentifier, UnknownScheme, gene
 from gpi.ledger import (
     _Reader,
     CommunityAdd,
+    CommunityRemove,
     Declare,
     EncodingError,
     Ledger,
     ParseError,
     Pledge,
+    Reset,
+    ResetEndorsement,
     SignedEvent,
     SignerMismatch,
     Update,
@@ -159,6 +164,20 @@ class TestAppend:
             with pytest.raises(SignerMismatch):
                 append_event(ledger, body, admin)
 
+    def test_a_forged_event_cannot_get_into_a_ledger(self):
+        # wrong signer and a bad signature: no constructor, append or parse takes it
+        k1, other = kp(b"a"), kp(b"b")
+        forged = SignedEvent(0, Declare(k1.public), other.public, bytes(32))
+        with pytest.raises(TypeError):
+            Ledger([forged])
+        with pytest.raises(SignerMismatch):
+            append_event(Ledger(), forged.body, other)
+        record = json.loads(serialize_log(append_event(Ledger(), Declare(k1.public), k1)))
+        record["signer"], record["sig"] = forged.signer.key_bytes.hex(), forged.signature.hex()
+        with pytest.raises(VerifyError) as err:
+            parse_log((json.dumps(record, separators=(",", ":")) + "\n").encode())
+        assert err.value.seq == 0
+
     def test_wrong_produced_signature_is_refused(self, monkeypatch):
         class Broken(MockScheme):
             name = "broken"
@@ -176,6 +195,26 @@ class TestAppend:
 
 
 class TestBodies:
+    def test_every_event_type_pickles_and_copies(self):
+        sc = Scenario()
+        sc.declare("a", "ha")
+        sc.declare("b", "hb")
+        sc.update("a2", "a", "ha")
+        sc.pledge(3, "a2", "b", "ha")
+        sc.endorse("a2", "b", "hb")
+        sc.reset("a2", "ha")
+        sc.community_add("b")
+        sc.community_remove("b")
+        events = {type(ev.body): ev for ev in sc.ledger}
+        assert set(events) == {
+            Declare, Update, Reset, Pledge, ResetEndorsement, CommunityAdd, CommunityRemove
+        }
+        for ev in events.values():
+            assert not hasattr(ev, "__dict__") and not hasattr(ev.body, "__dict__")
+            for again in (pickle.loads(pickle.dumps(ev)), copy.copy(ev), copy.deepcopy(ev)):
+                assert again == ev and type(again.body) is type(ev.body)
+                assert verify_event(again)
+
     def test_update_rejects_identical_identifiers(self):
         k1 = kp(b"a")
         with pytest.raises(EncodingError):

@@ -1,5 +1,6 @@
 """Property tests over fuzzed event bodies and ledgers."""
 
+import dataclasses
 import json
 
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from gpi.registry import (
 from gpi.sim import SimConfig, run_agent_sim
 from gpi.surety import graph_at
 
-from helpers import Scenario, bf_community_at, bf_update_valid, fold_facts, random_scenario
+from helpers import Scenario, bf_community_at, bf_update_valid, fold_facts, fresh_backing, random_scenario
 
 KEYS = [generate_keypair("mock", bytes([i])) for i in range(8)]
 
@@ -201,10 +202,10 @@ class TestPrefixFold:
     def test_cached_prefix_equals_fresh_fold(self, seed, n_events):
         ledger = random_scenario(seed, n_events).ledger
         analyze(ledger)  # the shared fold now covers every event
-        mentioned = {getattr(ev.body, attr) for ev in ledger for attr in vars(ev.body)
-                     if attr != "surety_type"}
+        mentioned = {getattr(ev.body, f.name) for ev in ledger for f in dataclasses.fields(ev.body)
+                     if f.name != "surety_type"}
         for k in range(len(ledger) + 1):
-            cached, fresh = ledger.prefix(k), Ledger(ledger.events[:k])
+            cached, fresh = ledger.prefix(k), fresh_backing(ledger.prefix(k))
             assert fold_facts(analyze(cached)) == fold_facts(analyze(fresh)), k
             for t in (1, 2, 3, 4):
                 assert graph_at(ledger, k, t) == graph_at(fresh, k, t), (k, t)

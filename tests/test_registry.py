@@ -5,7 +5,7 @@ import pytest
 from gpi import registry
 from gpi.community import history_from_ledger
 from gpi.keys import generate_keypair
-from gpi.ledger import Declare, Ledger, Reset, append_event
+from gpi.ledger import Declare, Reset, append_event
 from gpi.oracle import classify, surety_violations
 from gpi.registry import (
     CURRENT,
@@ -23,7 +23,7 @@ from gpi.registry import (
 from gpi.sim import SimConfig, run_agent_sim
 from gpi.surety import graph_at
 
-from helpers import Scenario, bf_nullified, fold_facts, random_scenario
+from helpers import Scenario, bf_nullified, fold_facts, fresh_backing, random_scenario
 
 
 class TestFirstDeclaration:
@@ -324,7 +324,7 @@ class TestFoldCache:
             SimConfig(n0=20, p=0.5, k=3, sybil_rate=0.5, steps=300, burn_in=30, seed=3),
             emit_ledger=True,
         )
-        ledger = Ledger(result.ledger.events)  # a backing nobody folded
+        ledger = fresh_backing(result.ledger)  # a backing nobody folded
         built, folded = [], []
         init, advance = registry._Fold.__init__, registry._Fold.advance
 

@@ -33,6 +33,7 @@ from, or appends to, one backing.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import re
 from binascii import unhexlify
@@ -261,14 +262,10 @@ class Ledger:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ledger):
             return NotImplemented
-        return self.events == other.events
+        return self._length == other._length and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"Ledger({self._length} events)"
-
-    @property
-    def events(self) -> tuple[SignedEvent, ...]:
-        return tuple(self._backing.events[: self._length])
 
     def derived(self, key: Hashable, build: Callable[[], _Derived]) -> _Derived:
         """The fold stored under ``key`` on this value's backing, built on first use.
@@ -515,31 +512,15 @@ def _diagnose(raw: bytes, i: int) -> NoReturn:
     raise ParseError(line, "record is not in canonical form")
 
 
-def parse_log(data: bytes) -> Ledger:
-    """Parse and re-verify a serialized log; only the canonical form parses.
-
-    Every line must be exactly what ``serialize_log`` writes for the event
-    it denotes, so a log that parses re-serializes to the same bytes.  A
-    line is accepted only through the strict pattern of its event type
-    (``_Reader.read``), which covers the whole canonical grammar; any other
-    line is decoded with ``json.loads`` only to name the ParseError.  Every
-    mention of one ``(scheme, key)`` in the returned ledger is the same
-    identifier object.  Signatures are re-verified (VerifyError names the
-    failing seq, also for an unregistered scheme) and so is the signer rule
-    of every body that names its signer; community add/remove events are
-    checked cryptographically only, as the admin keys are ``append_event``'s
-    ``admins`` argument, which the file does not record.  Seq values must be
-    dense from 0.
-    """
-    if data and not data.endswith(b"\n"):
-        raise ParseError(data.count(b"\n") + 1, "missing final newline")
+def _parse_lines(lines: Iterable[bytes]) -> Ledger:
+    """The ledger of a binary stream of lines, each checked as it is reached."""
     reader = _Reader()
     events: list[SignedEvent] = []
-    start = 0
-    while start < len(data):  # walk the lines; a list of them would hold one object per line
-        stop = data.index(b"\n", start)
-        raw, start = data[start:stop], stop + 1
+    for raw in lines:
         i = len(events)  # every earlier line became an event
+        if not raw.endswith(b"\n"):
+            raise ParseError(i + 1, "missing final newline")
+        raw = raw[:-1]
         event = reader.read(raw, i)
         if event is None:
             _diagnose(raw, i)
@@ -556,11 +537,34 @@ def parse_log(data: bytes) -> Ledger:
     return Ledger._view(_Backing(events), len(events))
 
 
+def parse_log(data: bytes) -> Ledger:
+    """Parse and re-verify a serialized log; only the canonical form parses.
+
+    The log is read line by line, and each line is checked when it is
+    reached, so a log with several faults reports its first faulty line.
+    Every line must be exactly what ``serialize_log`` writes for the event
+    it denotes, LF included, so a log that parses re-serializes to the same
+    bytes.  A line is accepted only through the strict pattern of its event
+    type (``_Reader.read``), which covers the whole canonical grammar; any
+    other line is decoded with ``json.loads`` only to name the ParseError.
+    Every mention of one ``(scheme, key)`` in the returned ledger is the
+    same identifier object.  Signatures are re-verified (VerifyError names
+    the failing seq, also for an unregistered scheme) and so is the signer
+    rule of every body that names its signer; community add/remove events
+    are checked cryptographically only, as the admin keys are
+    ``append_event``'s ``admins`` argument, which the file does not record.
+    Seq values must be dense from 0.
+    """
+    return _parse_lines(io.BytesIO(data))
+
+
 def write_log(path, ledger: Ledger) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_log(ledger))
+    """Write ``serialize_log(ledger)`` to ``path`` line by line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_line(ev) + "\n" for ev in ledger)
 
 
 def read_log(path) -> Ledger:
+    """``parse_log`` of the file at ``path``, read line by line."""
     with open(path, "rb") as fh:
-        return parse_log(fh.read())
+        return _parse_lines(fh)

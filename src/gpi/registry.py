@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -125,9 +125,9 @@ class _Fold:
             out.update(u for u in per_type.get(v, ()) if v in per_type.get(u, ()) and u in self.intro)
         return frozenset(out)
 
-    def advance(self, ledger: Ledger, k: int) -> None:
-        """Fold the events of ``ledger`` from ``self.length`` up to seq ``k``."""
-        for seq in range(self.length, k):
+    def advance(self, ledger: Ledger) -> None:
+        """Fold the events of ``ledger`` from ``self.length`` to its end."""
+        for seq in range(self.length, len(ledger)):
             body = ledger[seq].body
             if isinstance(body, Declare):
                 self.intro.setdefault(body.v, seq)
@@ -177,7 +177,7 @@ class _Fold:
                     back = per_type.get(body.to_v, {}).get(body.from_v)
                     if back is not None:
                         self.mutual[body.surety_type][body.from_v, body.to_v] = (seq, back)
-        self.length = max(self.length, k)
+        self.length = max(self.length, len(ledger))
 
 
 _ABSENT = object()
@@ -214,23 +214,14 @@ class _Cut(Mapping):
         return self.get(key, _ABSENT) is not _ABSENT
 
     def __iter__(self) -> Iterator:
-        for key, value in self._table.items():
-            if value >= self._bound:
-                return
-            yield key
+        return (key for key, _ in self.items())
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
-    def items(self) -> ItemsView:
-        return _CutItems(self)
-
-
-class _CutItems(ItemsView):
-    def __iter__(self) -> Iterator:  # one table lookup per entry
-        cut = self._mapping
-        for key, value in cut._table.items():
-            if value >= cut._bound:
+    def items(self) -> Iterator:  # one table lookup per entry
+        for key, value in self._table.items():
+            if value >= self._bound:
                 return
             yield key, value
 
@@ -298,7 +289,7 @@ def analyze(ledger: Ledger) -> LedgerAnalysis:
     """
     fold = ledger.derived("registry", _Fold)
     if fold.length < len(ledger):
-        fold.advance(ledger, len(ledger))
+        fold.advance(ledger)
     return LedgerAnalysis(fold, len(ledger))
 
 
@@ -313,7 +304,14 @@ def is_valid_update(ledger: Ledger, seq: int) -> bool:
     return analyze(ledger).consumed.get(event.body.old_v) == seq
 
 
-def _thread_chains(ledger: Ledger, a: LedgerAnalysis) -> list[ProvenanceChain]:
+def provenance_chains(ledger: Ledger) -> list[ProvenanceChain]:
+    """Partition of all introduction events into lineages, oldest base last.
+
+    Every introduced identifier appears in exactly one chain.  A chain is
+    valid iff every one of its update links is valid; its current (tip)
+    identifier is computed structurally either way.
+    """
+    a = analyze(ledger)
     # The continuation of an identifier is the valid update consuming it if
     # one exists, else its earliest referencing update; all other updates of
     # the same identifier start chains of their own.
@@ -348,24 +346,13 @@ def _thread_chains(ledger: Ledger, a: LedgerAnalysis) -> list[ProvenanceChain]:
     return chains
 
 
-def provenance_chains(ledger: Ledger) -> list[ProvenanceChain]:
-    """Partition of all introduction events into lineages, oldest base last.
-
-    Every introduced identifier appears in exactly one chain.  A chain is
-    valid iff every one of its update links is valid; its current (tip)
-    identifier is computed structurally either way.
-    """
-    return _thread_chains(ledger, analyze(ledger))
-
-
 def current_identifiers(ledger: Ledger) -> frozenset[PublicIdentifier]:
     """Tips of maximal valid chains, minus identifiers nullified by reset."""
-    a = analyze(ledger)
-    chains = _thread_chains(ledger, a)
+    nullified_at = analyze(ledger).nullified_at
     return frozenset(
         c.current
-        for c in chains
-        if c.valid and c.maximal and c.current not in a.nullified_at
+        for c in provenance_chains(ledger)
+        if c.valid and c.maximal and c.current not in nullified_at
     )
 
 

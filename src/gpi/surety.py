@@ -29,10 +29,6 @@ class InvalidChain(ValueError):
 Edge = tuple[PublicIdentifier, PublicIdentifier]
 
 
-def _ordered(u: PublicIdentifier, v: PublicIdentifier) -> Edge:
-    return (u, v) if u <= v else (v, u)
-
-
 @dataclass(frozen=True)
 class SuretyGraph:
     """A surety graph at a prefix; ``witness`` maps each edge to the seqs of its two pledges."""
@@ -123,12 +119,11 @@ def migrate_edges(graph: SuretyGraph, chains: Sequence[ProvenanceChain]) -> Sure
         ru, rv = resolve(u), resolve(v)
         if ru == rv:
             continue
-        key = _ordered(ru, rv)
-        if key != (ru, rv):
-            wit = (wit[1], wit[0])
-        prev = edges.get(key)
+        if rv < ru:  # each edge is stored in order, with its witness to match
+            ru, rv, wit = rv, ru, (wit[1], wit[0])
+        prev = edges.get((ru, rv))
         if prev is None or wit < prev:
-            edges[key] = wit
+            edges[ru, rv] = wit
     return SuretyGraph(
         surety_type=graph.surety_type,
         prefix_k=graph.prefix_k,

@@ -511,7 +511,7 @@ def check_expulsions(result) -> None:
                     stack.append(u)
         return reached
 
-    for ev in result.ledger.events:
+    for ev in result.ledger:
         b = ev.body
         removing = isinstance(b, CommunityRemove)
         if removing:
@@ -577,7 +577,7 @@ def bf_series_from_ledger(
         rows.append((members, present_sybils, present_sybils / members,
                      len(present_in), max(present_in.values(), default=0)))
 
-    for ev in ledger.events:
+    for ev in ledger:
         b = ev.body
         if isinstance(b, Declare) and adds > n0:
             end_round()

@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 
 from gpi import cli, community, sim
 from gpi.cli import build_parser, main
-from gpi.ledger import SURETY_TYPES, read_log, write_log
+from gpi.ledger import SURETY_TYPES, parse_log, read_log, write_log
 from gpi.metrics import MIS_EXACT_LIMIT, Graph
 from gpi.oracle import AgentRegistry
 
@@ -920,6 +921,28 @@ def test_pinned_stdout(case, grown, capsys, monkeypatch):
         stdout = capsys.readouterr().out
     outputs = {"stdout": stdout.encode(), **{name: (where / name).read_bytes() for name in digests if name != "stdout"}}
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests
+
+
+def test_log_is_read_and_written_line_by_line(grown, tmp_path):
+    # traced bytes beyond what parsing the bytes in memory allocates: a
+    # reader or writer that held the whole file would need its size again
+    log = grown[0] / "grown.log"
+    data = log.read_bytes()
+
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            return call(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ledger, from_bytes = peak(parse_log, data)
+    again, from_file = peak(read_log, log)
+    _, writing = peak(write_log, tmp_path / "again.log", ledger)
+    assert len(ledger) > 13_000
+    assert from_file - from_bytes <= len(data) / 4
+    assert writing <= len(data) / 4
+    assert again == ledger and (tmp_path / "again.log").read_bytes() == data
 
 
 class TestGoldenVectors:

@@ -25,12 +25,14 @@ from gpi.ledger import (
     append_event,
     encode_body,
     parse_log,
+    read_log,
     serialize_log,
     verify_event,
+    write_log,
 )
 from gpi.sim import SimConfig, run_agent_sim
 
-from helpers import Scenario, noncanonical_probes
+from helpers import Scenario, noncanonical_probes, random_scenario
 
 
 def kp(tag: bytes, scheme: str = "mock"):
@@ -118,7 +120,7 @@ class TestAppend:
         for key in (k1, k2, k3):
             ledger = append_event(ledger, Declare(key.public), key)
         assert len(ledger.prefix(2)) == 2
-        assert ledger.prefix(2).events == ledger.events[:2]
+        assert list(ledger.prefix(2)) == list(ledger)[:2]
 
     def test_append_does_not_disturb_original(self):
         k1, k2 = kp(b"a"), kp(b"b")
@@ -367,3 +369,43 @@ class TestSerialization:
         record["sig"] = get_scheme("mock").sign(k2.secret, encode_body(Declare(k1.public))).hex()
         with pytest.raises(VerifyError):
             parse_log((json.dumps(record, separators=(",", ":")) + "\n").encode())
+
+    @pytest.mark.parametrize(
+        "data",
+        [pytest.param(row[1], id=f"noncanonical {row[0]}") for row in noncanonical_probes()]
+        + [pytest.param(row[1], id=f"split {row[0]}") for row in split_probes()],
+    )
+    def test_file_and_bytes_raise_alike(self, data, tmp_path):
+        path = tmp_path / "probe.log"
+        path.write_bytes(data)
+        raised = []
+        for read, source in ((parse_log, data), (read_log, path)):
+            with pytest.raises((ParseError, VerifyError)) as err:
+                read(source)
+            e = err.value
+            raised.append((type(e), e.reason, getattr(e, "line", None), getattr(e, "seq", None)))
+        assert raised[0] == raised[1]
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        # line 2 is not canonical and the last line has no LF: the loop
+        # reaches line 2 first, for bytes and file alike
+        sc = Scenario()
+        sc.declare("a", "ha")
+        sc.declare("b", "hb")
+        sc.pledge(1, "a", "b", "ha")
+        lines = serialize_log(sc.ledger).split(b"\n")[:-1]
+        lines[1] = json.dumps(json.loads(lines[1])).encode()  # spaced JSON
+        data = b"\n".join(lines)
+        path = tmp_path / "bad.log"
+        path.write_bytes(data)
+        for read, source in ((parse_log, data), (read_log, path)):
+            with pytest.raises(ParseError) as err:
+                read(source)
+            assert (err.value.line, err.value.reason) == (2, "record is not in canonical form")
+
+    def test_file_round_trip(self, tmp_path):
+        ledger = random_scenario(5).ledger
+        path = tmp_path / "round.log"
+        write_log(path, ledger)
+        assert path.read_bytes() == serialize_log(ledger)
+        assert read_log(path) == ledger

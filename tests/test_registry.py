@@ -332,9 +332,9 @@ class TestFoldCache:
             built.append(self)
             init(self)
 
-        def counting_advance(self, ledger, k):
-            folded.append((self.length, k))
-            advance(self, ledger, k)
+        def counting_advance(self, ledger):
+            folded.append((self.length, len(ledger)))
+            advance(self, ledger)
 
         monkeypatch.setattr(registry._Fold, "__init__", counting_init)
         monkeypatch.setattr(registry._Fold, "advance", counting_advance)

@@ -18,8 +18,8 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -116,9 +116,13 @@ def _chain_dict(chain) -> dict:
 
 
 def _cmd_ledger_chains(args: argparse.Namespace) -> int:
-    ledger = read_log(args.file)
-    chains = provenance_chains(ledger)
-    print(json.dumps({"chains": [_chain_dict(c) for c in chains]}, indent=2))
+    # the bytes of json.dumps({"chains": [...]}, indent=2), written one chain at a time
+    chains = provenance_chains(read_log(args.file))
+    sys.stdout.write('{\n  "chains": [')
+    for i, chain in enumerate(chains):
+        text = json.dumps(_chain_dict(chain), indent=2).replace("\n", "\n    ")
+        sys.stdout.write((",\n    " if i else "\n    ") + text)
+    sys.stdout.write("\n  ]\n}\n" if chains else "]\n}\n")
     return 0
 
 
@@ -245,7 +249,8 @@ def _cmd_sim_grow(args: argparse.Namespace) -> int:
     if args.emit_ledger:
         registry = args.emit_ledger + ".registry.json"
         write_log(args.emit_ledger, result.ledger)
-        Path(registry).write_text(result.registry.to_json() + "\n")
+        with open(registry, "w", encoding="utf-8") as fh:
+            result.registry.write_json(fh)
         outputs += [args.emit_ledger, registry]
     if args.out:
         header = ["round", "community_size", "sybil_count", "sigma", "num_components", "max_component"]
@@ -392,14 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config; flags override file values")
     p.add_argument("--out", help="per-round CSV")
     p.add_argument("--emit-ledger", help="write the replayable event log here")
-    p.add_argument("--n0", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--sybil-rate", dest="sybil_rate", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--adversary", choices=("uniform", "greedy_independent_set"))
+    # one flag per config field, read back by name in _cmd_sim_grow
+    hints = typing.get_type_hints(sim.SimConfig)
+    for f in dataclasses.fields(sim.SimConfig):
+        choices = typing.get_args(hints[f.name])  # a Literal's values; () for int and float
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       **({"choices": choices} if choices else {"type": hints[f.name]}))
     p.set_defaults(func=_cmd_sim_grow)
 
     p = sim_sub.add_parser("steady-state", help="scalar component chain vs the analytic root")
@@ -426,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=20000)
-    # a string default goes through the type only when this subcommand parses
-    p.add_argument("--jobs", type=_positive_int, default=os.environ.get("GPI_JOBS", "1"),
-                   help="worker processes (default: $GPI_JOBS, else 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default: 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sim_corollary1)
 

@@ -277,12 +277,14 @@ def _split_tables(graph: Graph) -> ConductanceResult:
 _DENSE_EIG_LIMIT = 2000
 
 
-def _check_spectrum_input(graph: Graph) -> None:
+def _spectrum_input_connected(graph: Graph) -> bool:
+    """Check a random-walk spectrum input (see ``rw_spectrum``); True when it is connected."""
     zeros = np.nonzero(graph.degrees == 0)[0]
     if zeros.size:
         raise ZeroDegreeVertex(int(zeros[0]))
     if graph.n < 2:
         raise ValueError("the random-walk spectrum needs at least two vertices")
+    return graph.is_connected()
 
 
 def _dense_symmetrized(graph: Graph) -> np.ndarray:
@@ -328,8 +330,7 @@ def rw_spectrum(graph: Graph) -> tuple[float, float]:
     ZeroDegreeVertex for an isolated vertex and ValueError for fewer than
     two vertices.
     """
-    _check_spectrum_input(graph)
-    if not graph.is_connected():
+    if not _spectrum_input_connected(graph):
         return 1.0, 1.0
     low, second = _rw_spectrum_extremes(graph)
     lam = 1.0 if graph.is_bipartite() else max(abs(low), abs(second))
@@ -338,11 +339,6 @@ def rw_spectrum(graph: Graph) -> tuple[float, float]:
             raise ArithmeticError(f"eigenvalue {lam} outside the stochastic range")
         lam = 1.0
     return lam, min(second, 1.0)
-
-
-def second_eigenvalue(graph: Graph) -> float:
-    """lambda(G); see ``rw_spectrum``."""
-    return rw_spectrum(graph)[0]
 
 
 def lambda2_enclosure(graph: Graph) -> tuple[float, float]:
@@ -356,8 +352,7 @@ def lambda2_enclosure(graph: Graph) -> tuple[float, float]:
     at most 1 in modulus (||S||_2 = 1).  The interval is [1, 1] on a
     disconnected graph, and [-1, 1], certifying nothing, beyond the dense limit.
     """
-    _check_spectrum_input(graph)
-    if not graph.is_connected():
+    if not _spectrum_input_connected(graph):
         return 1.0, 1.0
     if graph.n > _DENSE_EIG_LIMIT:
         return -1.0, 1.0
@@ -559,4 +554,4 @@ def generate_regular_expander(n: int, d: int, seed: int = 0) -> RegularGraphSamp
     while taken is None:
         taken = _pairing_attempt(rng, n, d)
     graph = Graph(n, [np.flatnonzero(row).tolist() for row in taken])
-    return RegularGraphSample(graph, second_eigenvalue(graph))
+    return RegularGraphSample(graph, rw_spectrum(graph)[0])

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from .keys import PublicIdentifier
 from .ledger import SURETY_TYPES, Ledger, Pledge, Update
@@ -82,18 +83,17 @@ class AgentRegistry:
     def compromised_identifiers(self) -> frozenset[PublicIdentifier]:
         return frozenset(v for v, owners in self.key_owner.items() if len(owners) >= 2)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "agents": sorted(self.agents),
-                "key_owner": {
-                    v.label: list(owners)
-                    for v, owners in sorted(self.key_owner.items(), key=lambda kv: kv[0].label)
-                },
-                "actor": {str(seq): h for seq, h in sorted(self.actor.items())},
+    def write_json(self, fh: TextIO) -> None:
+        """Write the registry as indented JSON to the text stream ``fh``, piece by piece."""
+        fh.writelines(json.JSONEncoder(indent=2).iterencode({
+            "agents": sorted(self.agents),
+            "key_owner": {
+                v.label: list(owners)
+                for v, owners in sorted(self.key_owner.items(), key=lambda kv: kv[0].label)
             },
-            indent=2,
-        )
+            "actor": {str(seq): h for seq, h in sorted(self.actor.items())},
+        }))
+        fh.write("\n")
 
     @classmethod
     def from_json(cls, text: str) -> "AgentRegistry":

@@ -39,7 +39,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class SimConfig:
             raise ConfigError("steps must be positive")
         if not 0 <= self.burn_in < self.steps:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < steps")
-        if self.adversary not in ("uniform", "greedy_independent_set"):
+        if self.adversary not in get_args(Strategy):
             raise ConfigError(f"unknown adversary strategy {self.adversary!r}")
 
     @classmethod
@@ -159,7 +159,10 @@ class MarkovChainResult:
     stderr: float
     mean_square: float
     steps: int
-    burn_in: int
+
+    @property
+    def burn_in(self) -> int:
+        return self.steps // 10
 
 
 def moment_matched_component_size(result: MarkovChainResult, k: int) -> float:
@@ -175,7 +178,6 @@ def run_markov_component(n: int, p: float, k: int, steps: int, seed: int) -> Mar
     if steps < 2:
         raise ConfigError("steps must be at least 2 to estimate a standard error")
     steady_state_root(n, p, k)  # parameter validation
-    burn_in = steps // 10
     xs = np.empty(steps, dtype=np.int64)
     x = 0
     grow_base = 1.0 / k
@@ -190,10 +192,10 @@ def run_markov_component(n: int, p: float, k: int, steps: int, seed: int) -> Mar
             elif ui < q + (1.0 - q) * grow_base:
                 x += 1
             xs[i] = x
-    kept = xs[burn_in:]
+    kept = xs[steps // 10:]  # past MarkovChainResult.burn_in
     # integer sums below 2**53 are exact in float64, whatever their order
     mean, stderr = _mean_with_error(kept)
-    return MarkovChainResult(mean, stderr, float(kept @ kept) / len(kept), steps, burn_in)
+    return MarkovChainResult(mean, stderr, float(kept @ kept) / len(kept), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +423,10 @@ def run_agent_sim(config: SimConfig, emit_ledger: bool = False) -> SimResult:
 @dataclass(frozen=True)
 class CappedAdmissionResult:
     penetration: np.ndarray  # sigma(A) after each admission
-    mean: float
+
+    @property
+    def mean(self) -> float:
+        return float(self.penetration.mean())
 
 
 def capped_admission_sim(sigma_cap: float, steps: int, seed: int) -> CappedAdmissionResult:
@@ -438,8 +443,7 @@ def capped_admission_sim(sigma_cap: float, steps: int, seed: int) -> CappedAdmis
     draws = rng.random(steps) < sigma_cap
     counts = np.cumsum(draws)
     sizes = np.arange(2, steps + 2)
-    series = counts / sizes
-    return CappedAdmissionResult(series, float(series.mean()))
+    return CappedAdmissionResult(counts / sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +480,19 @@ class ExpanderExperimentReport:
     family: ExpanderFamily
     p: float
     lambda_target: float
-    bound: float
     outcomes: tuple[ExpanderSeedOutcome, ...]
-    max_sigma: float
-    ok: bool
+
+    @property
+    def bound(self) -> float:
+        return math.sqrt(self.lambda_target / self.p)
+
+    @property
+    def max_sigma(self) -> float:
+        return max(o.time_avg_sigma for o in self.outcomes)
+
+    @property
+    def ok(self) -> bool:
+        return self.max_sigma <= self.bound
 
     def to_dict(self) -> dict:
         return {
@@ -557,7 +570,6 @@ def expander_bound_experiment(
         raise ConfigError("need at least one seed")
     if not 0 <= lambda_target <= 1:
         raise ConfigError("lambda target must lie in [0, 1]")
-    bound = math.sqrt(lambda_target / p)
     single = partial(_expander_single, family, p, lambda_target, rounds)
     if jobs > 1:
         # spawn, not fork: forking once numpy's BLAS threads run is unsafe
@@ -566,13 +578,4 @@ def expander_bound_experiment(
             outcomes = tuple(pool.map(single, seeds))
     else:
         outcomes = tuple(map(single, seeds))
-    max_sigma = max(o.time_avg_sigma for o in outcomes)
-    return ExpanderExperimentReport(
-        family=family,
-        p=p,
-        lambda_target=lambda_target,
-        bound=bound,
-        outcomes=outcomes,
-        max_sigma=max_sigma,
-        ok=max_sigma <= bound,
-    )
+    return ExpanderExperimentReport(family, p, lambda_target, outcomes)

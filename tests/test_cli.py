@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, manifests, no input mutation."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -21,6 +22,7 @@ from gpi.cli import build_parser, main
 from gpi.ledger import SURETY_TYPES, parse_log, read_log, write_log
 from gpi.metrics import MIS_EXACT_LIMIT, Graph
 from gpi.oracle import AgentRegistry
+from gpi.registry import provenance_chains
 
 from helpers import (
     Scenario,
@@ -101,11 +103,14 @@ class TestLedgerCommands:
     def test_missing_file_exits_two(self, capsys):
         assert main(["ledger", "validate", "/nonexistent/x.log"]) == 2
 
-    def test_chains_dump(self, pledged_log, capsys):
-        assert main(["ledger", "chains", str(pledged_log)]) == 0
-        chains = json.loads(capsys.readouterr().out)["chains"]
-        assert len(chains) == 3
-        assert all(c["valid"] for c in chains)
+    def test_chains_dump(self, pledged_log, tmp_path, capsys):
+        empty = tmp_path / "empty.log"
+        empty.write_bytes(b"")
+        for log, count in ((empty, 0), (pledged_log, 3)):
+            assert main(["ledger", "chains", str(log)]) == 0
+            chains = [cli._chain_dict(c) for c in provenance_chains(read_log(log))]
+            assert capsys.readouterr().out == json.dumps({"chains": chains}, indent=2) + "\n"
+            assert len(chains) == count and all(c["valid"] for c in chains)
 
     def test_graph_edgelist_sorted(self, pledged_log, capsys):
         assert main(["ledger", "graph", str(pledged_log), "--type", "3"]) == 0
@@ -641,8 +646,10 @@ class TestSimCommands:
 
     def test_corollary1_penetration_over_the_bound_exits_one(self, monkeypatch, capsys):
         experiment = sim.expander_bound_experiment
+        # a zero target puts the derived bound at 0, below any measured penetration
         monkeypatch.setattr(sim, "expander_bound_experiment",
-                            lambda *args, **kwargs: dataclasses.replace(experiment(*args, **kwargs), ok=False))
+                            lambda *args, **kwargs: dataclasses.replace(experiment(*args, **kwargs),
+                                                                        lambda_target=0.0))
         assert main(["sim", "corollary1", "--n", "20", "--d", "5", "--p", "1.0", "--rounds", "100",
                      "--lambda-target", "1"]) == 1
         captured = capsys.readouterr()
@@ -675,23 +682,8 @@ class TestSimCommands:
             main(["sim", "steady-state", "--n", "10"])
         assert err.value.code == 2
 
-    def test_jobs_default_comes_from_environment(self, monkeypatch):
-        from gpi.cli import build_parser
-
-        monkeypatch.setenv("GPI_JOBS", "3")
-        args = build_parser().parse_args(
-            ["sim", "corollary1", "--n", "20", "--d", "4",
-             "--lambda-target", "0.9", "--p", "1.0"]
-        )
-        assert args.jobs == 3
-
-    @pytest.mark.parametrize(
-        "env,flags",
-        [("abc", []), ("0", []), ("-3", []), ("1", ["--jobs", "-2"]), ("abc", ["--jobs", "0"])],
-        ids=["env-abc", "env-0", "env-minus-3", "flag-minus-2", "flag-0"],
-    )
-    def test_jobs_must_be_a_positive_integer(self, env, flags, monkeypatch, capsys):
-        monkeypatch.setenv("GPI_JOBS", env)
+    @pytest.mark.parametrize("flags", [["--jobs", "-2"], ["--jobs", "0"]], ids=["flag-minus-2", "flag-0"])
+    def test_jobs_must_be_a_positive_integer(self, flags, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sim", "corollary1", "--n", "20", "--d", "4",
                   "--lambda-target", "0.9", "--p", "1.0", *flags])
@@ -699,11 +691,6 @@ class TestSimCommands:
         assert err.value.code == 2
         assert "argument --jobs: expected a positive integer" in captured.err
         assert "Traceback" not in captured.out + captured.err
-
-    def test_other_commands_ignore_jobs_environment(self, monkeypatch, capsys):
-        monkeypatch.setenv("GPI_JOBS", "abc")
-        assert main(["sim", "steady-state", "--n", "100", "--p", "0.5", "--k", "10", "--steps", "100"]) == 0
-        capsys.readouterr()
 
 
 def _sha256(path: Path) -> str:
@@ -789,6 +776,29 @@ def test_module_entry_point_prints_the_version():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-m", "gpi.cli", "--version"], capture_output=True, text=True, env=env)
     assert done.returncode == 0 and done.stdout == "gpi 0.1.0\n"
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_subcommand_parser(capsys):
+    commands = _subcommands(build_parser())
+    for command, group in commands.items():
+        for subcommand in _subcommands(group):
+            with pytest.raises(SystemExit) as err:
+                main([command, subcommand, "--help"])
+            assert err.value.code == 0, f"{command} {subcommand} --help"
+            assert capsys.readouterr().out.startswith(f"usage: gpi {command} {subcommand}")
+    # sim grow has one flag per SimConfig field, in field order, named after it
+    grow = _subcommands(commands["sim"])["grow"]._actions
+    assert [a.option_strings for a in grow] == [
+        ["-h", "--help"], ["--config"], ["--out"], ["--emit-ledger"], ["--n0"], ["--p"], ["--k"],
+        ["--sybil-rate"], ["--steps"], ["--burn-in"], ["--seed"], ["--adversary"],
+    ]
+    assert [a.dest for a in grow[4:]] == [f.name for f in dataclasses.fields(sim.SimConfig)]
+    assert [a.type for a in grow[4:]] == [int, float, int, float, int, int, int, None]
+    assert grow[-1].choices == ("uniform", "greedy_independent_set")
 
 
 def test_every_readme_command_line_parses():
@@ -943,6 +953,29 @@ def test_log_is_read_and_written_line_by_line(grown, tmp_path):
     assert from_file - from_bytes <= len(data) / 4
     assert writing <= len(data) / 4
     assert again == ledger and (tmp_path / "again.log").read_bytes() == data
+
+
+def test_chains_are_written_one_at_a_time(grown, tmp_path):
+    # traced bytes beyond what validating the same log allocates: a writer
+    # that built the whole text, or every chain's dict, would need more
+    log = grown[0] / "grown.log"
+    out = tmp_path / "chains.json"
+
+    def peak(command):
+        with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(["ledger", command, str(log)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    validating = peak("validate")
+    chaining = peak("chains")
+    chains = [cli._chain_dict(c) for c in provenance_chains(read_log(log))]
+    assert len(chains) > 1_000
+    assert out.read_text(encoding="utf-8") == json.dumps({"chains": chains}, indent=2) + "\n"
+    assert chaining - validating <= out.stat().st_size / 4
 
 
 class TestGoldenVectors:

@@ -21,7 +21,6 @@ from gpi.metrics import (
     lambda2_enclosure,
     max_independent_set,
     rw_spectrum,
-    second_eigenvalue,
 )
 from gpi.rng import GRAPH_GEN, stream
 
@@ -165,18 +164,18 @@ class TestConductance:
 
 class TestSpectrum:
     def test_k4_lambda_one_third(self):
-        assert second_eigenvalue(complete_graph(4)) == pytest.approx(1 / 3, abs=1e-9)
+        assert rw_spectrum(complete_graph(4))[0] == pytest.approx(1 / 3, abs=1e-9)
 
     def test_c4_bipartite_lambda_one(self):
-        assert second_eigenvalue(cycle_graph(4)) == pytest.approx(1.0, abs=1e-9)
+        assert rw_spectrum(cycle_graph(4))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_petersen_two_thirds(self):
-        assert second_eigenvalue(petersen_graph()) == pytest.approx(2 / 3, abs=1e-9)
+        assert rw_spectrum(petersen_graph())[0] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_zero_degree_vertex_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ZeroDegreeVertex):
-            second_eigenvalue(g)
+            rw_spectrum(g)
 
     def test_matches_general_solver(self):
         rng = np.random.default_rng(13)
@@ -187,7 +186,7 @@ class TestSpectrum:
             w = rw_eigenvalues_direct(g)
             assert rw_spectrum(g)[1] == pytest.approx(w[-2], abs=1e-8)
             lam = max(abs(w[0]), abs(w[-2]))
-            assert second_eigenvalue(g) == pytest.approx(min(lam, 1.0), abs=1e-8)
+            assert rw_spectrum(g)[0] == pytest.approx(min(lam, 1.0), abs=1e-8)
 
     def test_sparse_solver_agrees_with_dense(self, monkeypatch):
         import gpi.metrics as metrics_mod
@@ -196,10 +195,9 @@ class TestSpectrum:
         g = random_graph(40, 0.2, rng)
         if (g.degrees == 0).any() or not g.is_connected():
             g = random_graph(40, 0.3, np.random.default_rng(32))
-        dense_lam = second_eigenvalue(g)
-        dense_lam2 = rw_spectrum(g)[1]
+        dense_lam, dense_lam2 = rw_spectrum(g)
         monkeypatch.setattr(metrics_mod, "_DENSE_EIG_LIMIT", 10)
-        assert second_eigenvalue(g) == pytest.approx(dense_lam, abs=1e-7)
+        assert rw_spectrum(g)[0] == pytest.approx(dense_lam, abs=1e-7)
         assert rw_spectrum(g)[1] == pytest.approx(dense_lam2, abs=1e-7)
 
     def test_lambda_is_one_iff_disconnected_or_bipartite(self):
@@ -209,7 +207,7 @@ class TestSpectrum:
             g = random_graph(int(rng.integers(3, 9)), 0.4, rng)
             if (g.degrees == 0).any():
                 continue
-            lam = second_eigenvalue(g)
+            lam = rw_spectrum(g)[0]
             expected = (not g.is_connected()) or g.is_bipartite()
             assert (lam >= 1.0 - 1e-9) == expected
             seen_one |= expected
@@ -219,7 +217,7 @@ class TestSpectrum:
 
     def test_fewer_than_two_vertices_rejected(self):
         with pytest.raises(ValueError):
-            second_eigenvalue(Graph(0, []))
+            rw_spectrum(Graph(0, []))
         with pytest.raises(ZeroDegreeVertex):
             rw_spectrum(Graph(1, [[]]))[1]
 
@@ -235,17 +233,17 @@ class TestSpectrum:
         n = metrics_mod._DENSE_EIG_LIMIT + 10
         forest = Graph.from_edges(n, [(i, i + 1) for i in range(0, n, 2)] + [(0, 2)])
         assert not forest.is_connected()
-        assert (second_eigenvalue(forest), rw_spectrum(forest)[1]) == (1.0, 1.0)
+        assert rw_spectrum(forest) == (1.0, 1.0)
         assert conductance_bounds(forest) == (0.0, 0.0)
 
     def test_lanczos_start_vector_is_fixed(self, monkeypatch):
         import gpi.metrics as metrics_mod
 
         g = petersen_graph()
-        dense = second_eigenvalue(g)
+        dense = rw_spectrum(g)[0]
         monkeypatch.setattr(metrics_mod, "_DENSE_EIG_LIMIT", 5)
-        first = second_eigenvalue(g)
-        assert first == second_eigenvalue(g)
+        first = rw_spectrum(g)[0]
+        assert first == rw_spectrum(g)[0]
         assert first == pytest.approx(dense, abs=1e-7)
 
 
@@ -292,7 +290,7 @@ class TestIndependentSets:
         g = petersen_graph()
         result = max_independent_set(g)
         assert len(result.vertices) == 4
-        assert len(result.vertices) <= second_eigenvalue(g) * 10 + 1e-9
+        assert len(result.vertices) <= rw_spectrum(g)[0] * 10 + 1e-9
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(23)

@@ -1,5 +1,7 @@
 """Ground-truth classification and surety violation detection."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,7 +120,9 @@ class TestAgentRegistryJson:
         registry = oracle.AgentRegistry(
             agents={"h"}, key_owner={PublicIdentifier("x:y", b"\x01"): ("h",)}, actor={0: "h"}
         )
-        assert oracle.AgentRegistry.from_json(registry.to_json()) == registry
+        written = io.StringIO()
+        registry.write_json(written)
+        assert oracle.AgentRegistry.from_json(written.getvalue()) == registry
 
 
 class TestViolations:
